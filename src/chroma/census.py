@@ -13,7 +13,8 @@ by hashing (run seed, graph6 string, edge), records are sorted by their
 graph6 string before emission, and wall-clock timings live in one
 isolated field so reports can be compared byte for byte without them.
 Graphs are independent, so a run can fan out across processes; the
-``CHROMA_THREADS`` environment variable caps the pool.
+``CHROMA_THREADS`` environment variable sets the number of worker
+processes (default 1, a serial run).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from time import perf_counter
 from typing import Iterable
 
 from . import fans, kpath5, oracle, overfull
-from .fans import INAPPLICABLE, VIOLATION, Verdict
+from .fans import INAPPLICABLE, Verdict
 from .graph import Graph, iter_graph6_lines, parse_graph6, to_graph6
 
 __all__ = [
@@ -177,9 +178,13 @@ _STATUS_KEY = {
 }
 
 
-def _bump(tally: dict, status: str) -> None:
+def _tally(tallies: dict, suite: str, status: str) -> bool:
+    """Count one check of ``suite``; True when it must leave a witness."""
+    tally = tallies[suite]
+    key = _STATUS_KEY[status]
     tally["checked"] += 1
-    tally[_STATUS_KEY[status]] += 1
+    tally[key] += 1
+    return key in ("violations", "dead_ends")
 
 
 def _witness(
@@ -215,38 +220,26 @@ def _coloring_suites(
     for center in e:
         fan = fans.grow_multifan(c, center)
         verdict = fans.validate_multifan(c, fan)
-        _bump(tallies["multifan"], verdict.status)
-        if verdict.status == VIOLATION:
+        if _tally(tallies, "multifan", verdict.status):
             witnesses.append(_witness(g6, e, c, "multifan", verdict.detail))
         if c.is_elementary(fan.vertices):
             decomposition = fans.alpha_decompose(c, fan)
             linkage = fans.validate_fan_linkage(c, fan, decomposition)
         else:
             linkage = Verdict(INAPPLICABLE, "fan is not elementary")
-        _bump(tallies["fan-linkage"], linkage.status)
-        if linkage.status == VIOLATION:
+        if _tally(tallies, "fan-linkage", linkage.status):
             witnesses.append(_witness(g6, e, c, "fan-linkage", linkage.detail))
-    for path in fans.kierstead_paths(c, 4):
-        verdict = fans.validate_kierstead4(c, path)
-        _bump(tallies["kierstead4"], verdict.status)
-        if verdict.status == VIOLATION:
-            witnesses.append(
-                _witness(
-                    g6, e, c, "kierstead4", f"path {path.vertices}: {verdict.detail}"
-                )
-            )
-    for path in fans.kierstead_paths(c, 5):
-        result = kpath5.canonicalize_k5_path(c, path)
-        _bump(tallies["kierstead5"], result.status)
-        if result.status in (kpath5.VIOLATION, kpath5.DEAD_END):
-            witnesses.append(
-                _witness(
-                    g6, e, c, "kierstead5", f"path {path.vertices}: {result.detail}"
-                )
-            )
+    for suite, size, validate in (
+        ("kierstead4", 4, fans.validate_kierstead4),
+        ("kierstead5", 5, kpath5.canonicalize_k5_path),
+    ):
+        for path in fans.kierstead_paths(c, size):
+            verdict = validate(c, path)
+            if _tally(tallies, suite, verdict.status):
+                detail = f"path {path.vertices}: {verdict.detail}"
+                witnesses.append(_witness(g6, e, c, suite, detail))
     verdict = fans.check_fork_exclusion(c)
-    _bump(tallies["fork"], verdict.status)
-    if verdict.status == VIOLATION:
+    if _tally(tallies, "fork", verdict.status):
         witnesses.append(_witness(g6, e, c, "fork", verdict.detail))
     for kind, validate in (
         ("short-kite", fans.validate_shortkite),
@@ -254,13 +247,9 @@ def _coloring_suites(
     ):
         for embedding in fans.find_forklike(c, kind):
             verdict = validate(c, embedding)
-            _bump(tallies[kind], verdict.status)
-            if verdict.status == VIOLATION:
-                witnesses.append(
-                    _witness(
-                        g6, e, c, kind, f"{embedding.role_map}: {verdict.detail}"
-                    )
-                )
+            if _tally(tallies, kind, verdict.status):
+                detail = f"{embedding.role_map}: {verdict.detail}"
+                witnesses.append(_witness(g6, e, c, kind, detail))
 
 
 def _critical_suites(
@@ -284,18 +273,15 @@ def _critical_suites(
         x, y = e
         for p, q in ((x, y), (y, x)):
             verdict = fans.check_val(g, p, q)
-            _bump(tallies["val"], verdict.status)
-            if verdict.status == VIOLATION:
+            if _tally(tallies, "val", verdict.status):
                 witnesses.append(_witness(g6, (p, q), None, "val", verdict.detail))
         for c in per_edge[e]:
             _coloring_suites(g6, e, c, tallies, witnesses)
     for a in range(g.n):
         verdict = fans.check_degree_dichotomy(g, a, colorings=per_edge)
-        _bump(tallies["degree-dichotomy"], verdict.status)
-        if verdict.status == VIOLATION:
-            witnesses.append(
-                _witness(g6, None, None, "degree-dichotomy", f"anchor {a}: {verdict.detail}")
-            )
+        if _tally(tallies, "degree-dichotomy", verdict.status):
+            detail = f"anchor {a}: {verdict.detail}"
+            witnesses.append(_witness(g6, None, None, "degree-dichotomy", detail))
 
 
 def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExamination:
@@ -334,8 +320,7 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
             record["class"] = chi.classification
             record["is_critical"] = critical
             verdict = overfull.parity_check(chi.witness)
-            _bump(tallies["parity"], verdict.status)
-            if verdict.status == VIOLATION:
+            if _tally(tallies, "parity", verdict.status):
                 witnesses.append(
                     _witness(g6, None, chi.witness, "parity", verdict.detail)
                 )
@@ -390,9 +375,14 @@ def _corpus_lines(corpus: str | Iterable[str]) -> list[str]:
 
 def _worker_count(jobs: int) -> int:
     env = os.environ.get("CHROMA_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    if not env:
+        return 1
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError(f"CHROMA_THREADS must be positive, got {cap}")
+        raise ValueError(f"CHROMA_THREADS must be a positive integer, got {env!r}")
     return max(1, min(cap, jobs))
 
 

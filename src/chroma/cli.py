@@ -3,8 +3,10 @@
 Single-graph commands accept graph6 or a plain edge list and pick the
 format by content (edge lists have whitespace inside their payload
 lines, graph6 never does).  ``-`` reads standard input.  Exit codes: 0
-on success, 1 when a census or lemma sweep surfaced a violation, 2 for
-usage or input errors.
+on success, 1 when a census or lemma sweep surfaced a violation, dead
+end, or counterexample, 2 for usage or input errors, and 3 when a sweep
+found none of those but some graph's record carries an error (such as
+an exhausted oracle budget), so its checks are incomplete.
 """
 
 from __future__ import annotations
@@ -120,7 +122,9 @@ def _census_config(args: argparse.Namespace) -> CensusConfig:
 
 def _emit_report(report, fmt: str) -> int:
     sys.stdout.write(report.to_csv() if fmt == "csv" else report.to_json_lines())
-    return 1 if report.has_findings else 0
+    if report.has_findings:
+        return 1
+    return 3 if report.summary["errors"] else 0
 
 
 def _cmd_census(args: argparse.Namespace) -> int:

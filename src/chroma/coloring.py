@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph
+from .graph import Graph, _bits, _normalize_edge
 
 __all__ = [
     "PartialEdgeColoring",
@@ -31,19 +31,6 @@ __all__ = [
     "ScriptOutcome",
     "empty_partial",
 ]
-
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
-def _mask_to_colors(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 class ScriptError(Exception):
@@ -165,7 +152,7 @@ class PartialEdgeColoring:
         if k > 62:
             raise ValueError(f"palette limited to 62 colors, got k={k}")
         if hole is not None:
-            hole = _norm(*hole)
+            hole = _normalize_edge(*hole)
             if not graph.has_edge(*hole):
                 raise ValueError(f"designated uncolored edge {hole} not in graph")
         self._graph = graph
@@ -203,7 +190,7 @@ class PartialEdgeColoring:
         return self.full_mask & ~self._present[v]
 
     def missing(self, v: int) -> tuple[int, ...]:
-        return _mask_to_colors(self.missing_mask(v))
+        return _bits(self.missing_mask(v))
 
     def partner(self, v: int, color: int) -> int | None:
         """The neighbor across the color-``color`` edge at ``v``, if any."""
@@ -280,7 +267,7 @@ class PartialEdgeColoring:
         """Build a coloring from an explicit edge-to-color mapping."""
         c = cls(graph, k, hole)
         for (u, v), color in sorted(
-            (( _norm(u, v)), color) for (u, v), color in assignment.items()
+            (_normalize_edge(u, v), color) for (u, v), color in assignment.items()
         ):
             if color:
                 c._assign(u, v, color)
@@ -354,7 +341,7 @@ class PartialEdgeColoring:
                     cycle = [cycle[0]] + cycle[1:][::-1]
                 verts = tuple(cycle)
                 edges = tuple(
-                    _norm(verts[i], verts[(i + 1) % len(verts)])
+                    _normalize_edge(verts[i], verts[(i + 1) % len(verts)])
                     for i in range(len(verts))
                 )
                 return self._finish_chain((alpha, beta), "cycle", verts, edges)
@@ -367,7 +354,9 @@ class PartialEdgeColoring:
         if verts_list[0] > verts_list[-1]:
             verts_list.reverse()
         verts = tuple(verts_list)
-        edges = tuple(_norm(verts[i], verts[i + 1]) for i in range(len(verts) - 1))
+        edges = tuple(
+            _normalize_edge(verts[i], verts[i + 1]) for i in range(len(verts) - 1)
+        )
         return self._finish_chain((alpha, beta), "path", verts, edges)
 
     def _finish_chain(
@@ -523,13 +512,10 @@ class PartialEdgeColoring:
     @classmethod
     def from_json_obj(cls, graph: Graph, obj: dict) -> "PartialEdgeColoring":
         hole = tuple(obj["uncolored"]) if obj.get("uncolored") else None
-        c = cls(graph, int(obj["k"]), hole)
-        listed = {_norm(u, v): color for u, v, color in obj["edges"]}
+        listed = {_normalize_edge(u, v): color for u, v, color in obj["edges"]}
         if set(listed) != set(graph.edges):
             raise ValueError("serialized edge set does not match the graph")
-        for (u, v), color in sorted(listed.items()):
-            if color:
-                c._assign(u, v, color)
+        c = cls.from_assignment(graph, int(obj["k"]), listed, hole)
         if hole is not None and c.color(*hole):
             raise ValueError(f"uncolored edge {hole} has a color in the edge list")
         return c

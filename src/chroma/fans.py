@@ -13,10 +13,10 @@ the interesting output: each one would falsify a known invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .coloring import PartialEdgeColoring
-from .graph import Graph
-from . import oracle
+from .graph import Graph, _bits, _normalize_edge
 
 __all__ = [
     "OK",
@@ -61,15 +61,6 @@ class Verdict:
         return self.status == OK
 
 
-def _mask_colors(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def _require_single_hole(c: PartialEdgeColoring) -> tuple[int, int]:
     if c.hole is None:
         raise StructuralError("coloring has no designated uncolored edge")
@@ -101,7 +92,7 @@ class Multifan:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         x = self.center
-        return tuple((x, y) if x < y else (y, x) for y in self.spokes)
+        return tuple(_normalize_edge(x, y) for y in self.spokes)
 
 
 def grow_multifan(c: PartialEdgeColoring, center: int | None = None) -> Multifan:
@@ -123,7 +114,7 @@ def grow_multifan(c: PartialEdgeColoring, center: int | None = None) -> Multifan
     missed = c.missing_mask(y1)
     while True:
         best: tuple[int, int] | None = None
-        for color in _mask_colors(missed):
+        for color in _bits(missed):
             z = c.partner(x, color)
             if z is not None and z not in in_fan:
                 if best is None or (color, z) < best:
@@ -144,7 +135,7 @@ def _check_multifan_structure(c: PartialEdgeColoring, f: Multifan) -> None:
     verts = f.vertices
     if len(set(verts)) != len(verts):
         raise StructuralError("multifan vertices must be distinct")
-    e1 = (x, f.spokes[0]) if x < f.spokes[0] else (f.spokes[0], x)
+    e1 = _normalize_edge(x, f.spokes[0])
     if e1 != hole:
         raise StructuralError(f"first fan edge {e1} is not the uncolored edge {hole}")
     missed = c.missing_mask(f.spokes[0])
@@ -339,10 +330,7 @@ class KiersteadPath:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         vs = self.vertices
-        return tuple(
-            (vs[i], vs[i + 1]) if vs[i] < vs[i + 1] else (vs[i + 1], vs[i])
-            for i in range(len(vs) - 1)
-        )
+        return tuple(_normalize_edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
 
 
 def _check_kierstead_structure(
@@ -353,9 +341,8 @@ def _check_kierstead_structure(
         raise StructuralError("a Kierstead path needs at least the uncolored edge")
     if len(set(vertices)) != len(vertices):
         raise StructuralError("Kierstead path vertices must be distinct")
-    v0, v1 = vertices[0], vertices[1]
-    first = (v0, v1) if v0 < v1 else (v1, v0)
-    if first != hole:
+    v0 = vertices[0]
+    if _normalize_edge(v0, vertices[1]) != hole:
         raise StructuralError(f"path must start with the uncolored edge {hole}")
     missed = c.missing_mask(v0)
     for i in range(2, len(vertices)):
@@ -389,7 +376,7 @@ def kierstead_paths(
             return
         tail = path[-1]
         allowed = missed_all_but_last | c.missing_mask(path[-2])
-        for color in _mask_colors(allowed):
+        for color in _bits(allowed):
             w = c.partner(tail, color)
             if w is not None and w not in path:
                 path.append(w)
@@ -420,7 +407,7 @@ def grow_kierstead(
             allowed |= c.missing_mask(v)
         tail = vertices[-1]
         best: tuple[int, int] | None = None
-        for color in _mask_colors(allowed):
+        for color in _bits(allowed):
             w = c.partner(tail, color)
             if w is not None and w not in vertices:
                 if best is None or (color, w) < best:
@@ -456,7 +443,7 @@ def validate_kierstead4(c: PartialEdgeColoring, k: KiersteadPath) -> Verdict:
     if shared.bit_count() > 1:
         return Verdict(
             VIOLATION,
-            f"endpoint {v3} shares colors {_mask_colors(shared)} with the "
+            f"endpoint {v3} shares colors {_bits(shared)} with the "
             f"uncolored edge's endpoints",
         )
     return Verdict(OK)
@@ -487,19 +474,17 @@ def check_degree_dichotomy(
     g: Graph,
     a: int,
     *,
-    samples: int = 100,
-    seed: int = 0,
-    colorings: dict[tuple[int, int], list[PartialEdgeColoring]] | None = None,
-    timeout_ms: int | None = oracle.DEFAULT_TIMEOUT_MS,
+    colorings: dict[tuple[int, int], list[PartialEdgeColoring]],
 ) -> Verdict:
     """Low-degree anchor forces a degree gap, plus a missing-color bound.
 
     Inapplicable unless 3·d(a) <= 2·max_degree - n + 2.  Then every other
     vertex must have degree >= max_degree - d(a) + 1 or
     <= n - max_degree + 2·d(a) - 6, and each high-degree vertex shares at
-    most one missing color with {a, b} under colorings of the graph minus
-    an edge ab to a max-degree neighbor b.  Colorings are sampled unless
-    supplied via ``colorings`` (keyed by the normalized edge).
+    most one missing color with {a, b} under each coloring of the graph
+    minus an edge ab to a max-degree neighbor b.  Those colorings are
+    ``colorings[(min(a, b), max(a, b))]``; an edge missing from the dict
+    contributes none.
     """
     n = g.n
     delta = g.max_degree
@@ -520,12 +505,7 @@ def check_degree_dichotomy(
     for b in g.neighbors(a):
         if g.degree(b) != delta:
             continue
-        e = (a, b) if a < b else (b, a)
-        if colorings is not None:
-            phis = colorings.get(e, [])
-        else:
-            phis = oracle.sample_colorings(g, e, samples, seed, timeout_ms=timeout_ms)
-        for phi in phis:
+        for phi in colorings.get(_normalize_edge(a, b), ()):
             shared_ab = phi.missing_mask(a) | phi.missing_mask(b)
             for v in range(n):
                 if v == a or g.degree(v) < high:
@@ -557,6 +537,11 @@ _FORK_EDGE_NAMES = {
         ("s2", "t2"),
     ),
 }
+# Role names of each kind in the order its finder fills them.
+_ROLE_NAMES = {
+    kind: tuple(dict.fromkeys(name for pair in pairs for name in pair))
+    for kind, pairs in _FORK_EDGE_NAMES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -579,16 +564,18 @@ class ForkLike:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         m = self.role_map
-        out = []
-        for p, q in _FORK_EDGE_NAMES[self.kind]:
-            u, v = m[p], m[q]
-            out.append((u, v) if u < v else (v, u))
-        return tuple(out)
+        return tuple(
+            _normalize_edge(m[p], m[q]) for p, q in _FORK_EDGE_NAMES[self.kind]
+        )
+
+
+def _forklike(kind: str, *vertices: int) -> ForkLike:
+    return ForkLike(kind, tuple(zip(_ROLE_NAMES[kind], vertices)))
 
 
 def _partners(c: PartialEdgeColoring, v: int, mask: int) -> list[int]:
     out = []
-    for color in _mask_colors(mask):
+    for color in _bits(mask):
         w = c.partner(v, color)
         if w is not None:
             out.append(w)
@@ -628,7 +615,7 @@ def _find_forks(c: PartialEdgeColoring, a: int, b: int, out: list[ForkLike]) -> 
         ]
         for i, s1 in enumerate(branch):
             for s2 in branch[i + 1:]:
-                lo, hi = (s1, s2) if s1 < s2 else (s2, s1)
+                lo, hi = sorted((s1, s2))
                 for t1 in _partners(c, lo, miss_ab):
                     if t1 in (a, b, u, lo, hi):
                         continue
@@ -641,115 +628,75 @@ def _find_forks(c: PartialEdgeColoring, a: int, b: int, out: list[ForkLike]) -> 
                             c.missing_mask(t2) >> c1 & 1
                             and c.missing_mask(t1) >> c2 & 1
                         ):
-                            out.append(
-                                ForkLike(
-                                    "fork",
-                                    (
-                                        ("a", a),
-                                        ("b", b),
-                                        ("u", u),
-                                        ("s1", lo),
-                                        ("s2", hi),
-                                        ("t1", t1),
-                                        ("t2", t2),
-                                    ),
-                                )
-                            )
+                            out.append(_forklike("fork", a, b, u, lo, hi, t1, t2))
+
+
+def _kite_bases(
+    c: PartialEdgeColoring, a: int, b: int
+) -> Iterator[tuple[int, int]]:
+    """The roles (c, u) both kite shapes grow from: ac's color is missed
+    at b, bu's at a, and the edge cu carries a color missed at a or b."""
+    miss_a = c.missing_mask(a)
+    miss_b = c.missing_mask(b)
+    miss_ab = miss_a | miss_b
+    for cc in _partners(c, a, miss_b):
+        if cc == b:
+            continue
+        for u in _partners(c, b, miss_a):
+            if u in (a, b, cc):
+                continue
+            if not c.graph.has_edge(cc, u):
+                continue
+            cu_color = c.color(cc, u)
+            if cu_color and miss_ab >> cu_color & 1:
+                yield cc, u
 
 
 def _find_short_kites(
     c: PartialEdgeColoring, a: int, b: int, out: list[ForkLike]
 ) -> None:
-    miss_a = c.missing_mask(a)
-    miss_b = c.missing_mask(b)
-    miss_ab = miss_a | miss_b
-    for cc in _partners(c, a, miss_b):
-        if cc == b:
-            continue
-        for u in _partners(c, b, miss_a):
-            if u in (a, b, cc):
+    miss_ab = c.missing_mask(a) | c.missing_mask(b)
+    for cc, u in _kite_bases(c, a, b):
+        for x in _partners(c, u, miss_ab):
+            if x in (a, b, cc, u):
                 continue
-            if not c.graph.has_edge(cc, u):
-                continue
-            cu_color = c.color(cc, u)
-            if not (cu_color and miss_ab >> cu_color & 1):
-                continue
-            for x in _partners(c, u, miss_ab):
-                if x in (a, b, cc, u):
+            for y in _partners(c, u, miss_ab | c.missing_mask(cc)):
+                if y in (a, b, cc, u, x):
                     continue
-                for y in _partners(c, u, miss_ab | c.missing_mask(cc)):
-                    if y in (a, b, cc, u, x):
-                        continue
-                    out.append(
-                        ForkLike(
-                            "short-kite",
-                            (
-                                ("a", a),
-                                ("b", b),
-                                ("c", cc),
-                                ("u", u),
-                                ("x", x),
-                                ("y", y),
-                            ),
-                        )
-                    )
+                out.append(_forklike("short-kite", a, b, cc, u, x, y))
 
 
 def _find_kites(c: PartialEdgeColoring, a: int, b: int, out: list[ForkLike]) -> None:
-    miss_a = c.missing_mask(a)
-    miss_b = c.missing_mask(b)
-    miss_ab = miss_a | miss_b
-    for cc in _partners(c, a, miss_b):
-        if cc == b:
-            continue
+    miss_ab = c.missing_mask(a) | c.missing_mask(b)
+    for cc, u in _kite_bases(c, a, b):
         miss_abc = miss_ab | c.missing_mask(cc)
-        for u in _partners(c, b, miss_a):
-            if u in (a, b, cc):
+        miss_abcu = miss_abc | c.missing_mask(u)
+        for s1 in _partners(c, u, miss_ab):
+            if s1 in (a, b, cc, u):
                 continue
-            if not c.graph.has_edge(cc, u):
-                continue
-            cu_color = c.color(cc, u)
-            if not (cu_color and miss_ab >> cu_color & 1):
-                continue
-            miss_abcu = miss_abc | c.missing_mask(u)
-            for s1 in _partners(c, u, miss_ab):
-                if s1 in (a, b, cc, u):
+            for s2 in _partners(c, u, miss_abc):
+                if s2 in (a, b, cc, u, s1):
                     continue
-                for s2 in _partners(c, u, miss_abc):
-                    if s2 in (a, b, cc, u, s1):
+                for t1 in _partners(c, s1, miss_ab | c.missing_mask(u)):
+                    if t1 in (a, b, cc, u, s1, s2):
                         continue
-                    for t1 in _partners(c, s1, miss_ab | c.missing_mask(u)):
-                        if t1 in (a, b, cc, u, s1, s2):
+                    for t2 in _partners(c, s2, miss_abcu):
+                        if t2 in (a, b, cc, u, s1, s2, t1):
                             continue
-                        for t2 in _partners(c, s2, miss_abcu):
-                            if t2 in (a, b, cc, u, s1, s2, t1):
-                                continue
-                            out.append(
-                                ForkLike(
-                                    "kite",
-                                    (
-                                        ("a", a),
-                                        ("b", b),
-                                        ("c", cc),
-                                        ("u", u),
-                                        ("s1", s1),
-                                        ("s2", s2),
-                                        ("t1", t1),
-                                        ("t2", t2),
-                                    ),
-                                )
-                            )
+                        out.append(_forklike("kite", a, b, cc, u, s1, s2, t1, t2))
 
 
-def _check_forklike_shape(c: PartialEdgeColoring, fl: ForkLike) -> None:
+def _check_forklike_shape(c: PartialEdgeColoring, fl: ForkLike, kind: str) -> None:
+    if fl.kind != kind:
+        raise StructuralError(f"expected a {kind}, got {fl.kind}")
     hole = _require_single_hole(c)
     m = fl.role_map
     verts = [v for _, v in fl.roles]
     if len(set(verts)) != len(verts):
         raise StructuralError(f"{fl.kind} vertices must be distinct")
-    if set(m) != {name for pair in _FORK_EDGE_NAMES[fl.kind] for name in pair}:
+    if set(m) != set(_ROLE_NAMES[kind]):
         raise StructuralError(f"{fl.kind} has the wrong role names")
-    ab = (m["a"], m["b"]) if m["a"] < m["b"] else (m["b"], m["a"])
+    ab = _normalize_edge(m["a"], m["b"])
     if ab != hole:
         raise StructuralError(f"{fl.kind} edge ab={ab} is not the uncolored edge")
     for e in fl.edges:
@@ -826,9 +773,7 @@ def check_fork_exclusion(c: PartialEdgeColoring) -> Verdict:
 def validate_shortkite(c: PartialEdgeColoring, sk: ForkLike) -> Verdict:
     """Both outer vertices sharing a missing color with the hole's
     endpoints forces one of them to have maximum degree."""
-    if sk.kind != "short-kite":
-        raise StructuralError(f"expected a short-kite, got {sk.kind}")
-    _check_forklike_shape(c, sk)
+    _check_forklike_shape(c, sk, "short-kite")
     failure = _forklike_precondition_failure(c, sk)
     if failure is not None:
         return Verdict(INAPPLICABLE, failure)
@@ -851,9 +796,7 @@ def validate_shortkite(c: PartialEdgeColoring, sk: ForkLike) -> Verdict:
 def validate_kite(c: PartialEdgeColoring, kt: ForkLike) -> Verdict:
     """With equal tip-edge colors, the tips share at most four missing
     colors with the hole's endpoints."""
-    if kt.kind != "kite":
-        raise StructuralError(f"expected a kite, got {kt.kind}")
-    _check_forklike_shape(c, kt)
+    _check_forklike_shape(c, kt, "kite")
     failure = _forklike_precondition_failure(c, kt)
     if failure is not None:
         return Verdict(INAPPLICABLE, failure)
@@ -869,6 +812,6 @@ def validate_kite(c: PartialEdgeColoring, kt: ForkLike) -> Verdict:
         return Verdict(
             VIOLATION,
             f"tips share {shared.bit_count()} missing colors "
-            f"{_mask_colors(shared)} with the hole endpoints",
+            f"{_bits(shared)} with the hole endpoints",
         )
     return Verdict(OK)

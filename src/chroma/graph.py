@@ -29,7 +29,18 @@ _G6_MAX_N = 62
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
+    """The key of edge ``uv``: its endpoints in increasing order."""
     return (u, v) if u < v else (v, u)
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class Graph:
@@ -50,9 +61,7 @@ class Graph:
             masks[v] |= 1 << u
         self._n = n
         self._adj_mask = tuple(masks)
-        self._neighbors = tuple(
-            tuple(_bits(masks[v])) for v in range(n)
-        )
+        self._neighbors = tuple(_bits(masks[v]) for v in range(n))
         edge_list: list[tuple[int, int]] = []
         for u in range(n):
             for v in self._neighbors[u]:
@@ -95,7 +104,7 @@ class Graph:
         return self._adj_mask[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self._n and bool(self._adj_mask[u] >> v & 1)
+        return 0 <= u < self._n and v >= 0 and bool(self._adj_mask[u] >> v & 1)
 
     def edge_index(self, u: int, v: int) -> int:
         """Position of edge ``uv`` in :attr:`edges`; raises KeyError if absent."""
@@ -132,13 +141,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def degree_stats(g: Graph) -> tuple[int, int, tuple[int, ...]]:

@@ -19,11 +19,14 @@ from dataclasses import dataclass
 
 from .coloring import KempeChain, PartialEdgeColoring
 from .fans import (
+    INAPPLICABLE,
+    VIOLATION,
     KiersteadPath,
     StructuralError,
     _check_kierstead_structure,
     validate_kierstead4,
 )
+from .graph import _normalize_edge
 
 __all__ = [
     "CANONICAL",
@@ -36,8 +39,6 @@ __all__ = [
 ]
 
 CANONICAL = "canonical"
-INAPPLICABLE = "inapplicable"
-VIOLATION = "violation"
 DEAD_END = "dead-end"
 
 _MAX_ROUNDS = 8
@@ -227,9 +228,8 @@ class _Interpreter:
     def _us_on_b_side(self, tau: int) -> bool:
         a, b, u, s, t = self.a, self.b, self.u, self.s, self.t
         if tau != self.beta:
-            edge_us = (u, s) if u < s else (s, u)
             chain = self._chain(t, self.beta, tau)
-            if edge_us not in chain.edges:
+            if _normalize_edge(u, s) not in chain.edges:
                 self.swaps += 1
                 if self.swaps > _MAX_SWAPS:
                     raise _DeadEnd("swap budget exhausted")
@@ -263,16 +263,14 @@ class _Interpreter:
         and the shifted four-vertex path breaks near-elementarity.
         Reproduce that derivation so the dead-end report is checkable."""
         a, b, u, s, t = self.a, self.b, self.u, self.s, self.t
+        bu = _normalize_edge(b, u)
         assignment = {}
-        for (p, q), color in self.c.edge_items():
-            if color and (p, q) != ((b, u) if b < u else (u, b)):
-                assignment[(p, q)] = color
-        assignment[(a, b) if a < b else (b, a)] = self.alpha
+        for e, color in self.c.edge_items():
+            if color and e != bu:
+                assignment[e] = color
+        assignment[_normalize_edge(a, b)] = self.alpha
         shifted = PartialEdgeColoring.from_assignment(
-            self.c.graph,
-            self.c.k,
-            assignment,
-            hole=(b, u) if b < u else (u, b),
+            self.c.graph, self.c.k, assignment, hole=bu
         )
         try:
             verdict = validate_kierstead4(shifted, KiersteadPath((b, u, s, t)))

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .coloring import PartialEdgeColoring
-from .graph import Graph
+from .graph import Graph, _normalize_edge
 
 __all__ = [
     "ChiResult",
@@ -92,7 +92,7 @@ def _search(
 
     if preset:
         for (u, v), color in sorted(preset.items()):
-            e = (u, v) if u < v else (v, u)
+            e = _normalize_edge(u, v)
             if e == hole:
                 raise ValueError(f"preset colors the designated hole {hole}")
             if not 1 <= color <= k:
@@ -107,7 +107,7 @@ def _search(
         color = 0
         ok = True
         for w in g.neighbors(vstar):
-            e = (vstar, w) if vstar < w else (w, vstar)
+            e = _normalize_edge(vstar, w)
             if e == hole:
                 continue
             color += 1
@@ -295,7 +295,7 @@ def sample_colorings(
         raise ValueError(f"edge {e} not in graph")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    hole = (u, v) if u < v else (v, u)
+    hole = _normalize_edge(u, v)
     delta = g.max_degree
     out = []
     for i in range(count):

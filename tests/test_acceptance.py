@@ -8,6 +8,7 @@ criteria that read it.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from time import perf_counter
@@ -160,6 +161,18 @@ def test_criterion_full_corpus_sweep(atlas_report):
         f"{report.summary['graphs']} graphs, {checked} checks, "
         f"{elapsed:.1f}s" + (f", findings: {bad[:3]}" if bad else ""),
     )
+
+
+# SHA-256 of the timing-stripped atlas report (967,077 bytes).  A refactor
+# that keeps answers must keep this hash; a change that alters the report
+# on purpose updates it and says why.
+ATLAS_REPORT_SHA256 = "5da78334862a1ffe4c83062c9a1975f68636cb41947a41ecd98518d8f0ae0b9d"
+
+
+def test_atlas_report_bytes_pinned(atlas_report):
+    report, _ = atlas_report
+    text = report.to_json_lines(include_timings=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == ATLAS_REPORT_SHA256
 
 
 def test_criterion_implication_sweep(atlas_report):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+import chroma.census
 import chroma.fans
 from chroma import (
     CensusConfig,
@@ -139,9 +141,16 @@ def test_run_census_empty_corpus():
 
 
 def test_worker_count_env_validation(monkeypatch):
-    monkeypatch.setenv("CHROMA_THREADS", "0")
-    with pytest.raises(ValueError, match="CHROMA_THREADS must be positive"):
-        run_census("Bw\n", CensusConfig(samples=1))
+    for bad in ("0", "abc"):
+        monkeypatch.setenv("CHROMA_THREADS", bad)
+        with pytest.raises(
+            ValueError, match=f"CHROMA_THREADS must be a positive integer, got '{bad}'"
+        ):
+            run_census("Bw\n", CensusConfig(samples=1))
+    # Unset means a serial run: starting a pool would call None and fail.
+    monkeypatch.delenv("CHROMA_THREADS")
+    monkeypatch.setattr(chroma.census, "ProcessPoolExecutor", None)
+    assert run_census("Bw\nC~\n", CensusConfig(samples=1)).summary["graphs"] == 2
 
 
 def test_report_bytes_identical_across_runs():
@@ -163,6 +172,14 @@ def test_report_bytes_identical_across_worker_counts(monkeypatch):
     pooled = run_census("Dhc\nBw\nC~\n", config)
     assert serial.to_json_lines(include_timings=False) == pooled.to_json_lines(
         include_timings=False
+    )
+
+
+def test_fixture_report_bytes_pinned(fixture_corpus):
+    report = run_census(fixture_corpus, CensusConfig(seed=0, samples=100))
+    text = report.to_json_lines(include_timings=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cb334f4e905bead484ddb2a44b945b72072f7af80655a09f60b06c47474c7994"
     )
 
 

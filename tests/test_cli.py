@@ -135,6 +135,16 @@ def test_verify_lemmas_single_graph(tmp_path, capsys):
     assert json.loads(lines[0])["is_critical"] is True
 
 
+def test_verify_lemmas_error_without_findings_exits_3(tmp_path, capsys):
+    # Proving the subdivided K8 class 2 takes far more than the 4,096
+    # search nodes between deadline checks, so a 1 ms budget always expires.
+    path = _write(tmp_path, "k8sub.g6", "H^~~~~?\n")
+    assert main(["verify-lemmas", path, "--timeout-ms", "1"]) == 3
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
+    assert summary["errors"] == 1
+    assert summary["violations"] == summary["dead_ends"] == 0
+
+
 def test_error_exits(tmp_path, capsys):
     assert main(["chi", str(tmp_path / "absent.g6")]) == 2
     assert "error:" in capsys.readouterr().err

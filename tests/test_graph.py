@@ -41,6 +41,8 @@ def test_graph_basics():
     assert g.adjacency_mask(1) == 0b0101
     assert g.has_edge(2, 1)
     assert not g.has_edge(0, 3)
+    for u, v in ((0, -1), (-1, 0), (0, 4), (4, 0)):
+        assert not g.has_edge(u, v)
     assert g.edge_index(2, 1) == 1
     with pytest.raises(KeyError):
         g.edge_index(0, 2)

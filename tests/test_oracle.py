@@ -69,8 +69,9 @@ def test_is_critical_edge():
     assert all(is_critical_edge(c5, e) for e in c5.edges)
     k4 = families.complete(4)
     assert not is_critical_edge(k4, (0, 1))
-    with pytest.raises(ValueError, match="not in graph"):
-        is_critical_edge(c5, (0, 2))
+    for e in ((0, 2), (0, -1)):
+        with pytest.raises(ValueError, match="not in graph"):
+            is_critical_edge(c5, e)
 
 
 def test_is_delta_critical():
