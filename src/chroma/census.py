@@ -32,7 +32,7 @@ from time import perf_counter
 from typing import Iterable
 
 from . import fans, kpath5, oracle, overfull
-from .fans import INAPPLICABLE, Verdict
+from .fans import INAPPLICABLE
 from .graph import Graph, iter_graph6_lines, parse_graph6, to_graph6
 
 __all__ = [
@@ -222,11 +222,7 @@ def _coloring_suites(
         verdict = fans.validate_multifan(c, fan)
         if _tally(tallies, "multifan", verdict.status):
             witnesses.append(_witness(g6, e, c, "multifan", verdict.detail))
-        if c.is_elementary(fan.vertices):
-            decomposition = fans.alpha_decompose(c, fan)
-            linkage = fans.validate_fan_linkage(c, fan, decomposition)
-        else:
-            linkage = Verdict(INAPPLICABLE, "fan is not elementary")
+        linkage = fans.validate_fan_linkage(c, fan)
         if _tally(tallies, "fan-linkage", linkage.status):
             witnesses.append(_witness(g6, e, c, "fan-linkage", linkage.detail))
     for suite, size, validate in (
@@ -259,22 +255,23 @@ def _critical_suites(
     tallies: dict,
     witnesses: list[dict],
 ) -> None:
-    """Edge-by-edge validator sweep; only called on certified hosts."""
+    """Edge-by-edge validator sweep; only called on certified hosts.  Each
+    edge is sampled just before its suites, so a sampling timeout keeps
+    the earlier edges' tallies and names its own edge."""
     per_edge: dict[tuple[int, int], list] = {}
-    for e in g.edges:
-        per_edge[e] = oracle.sample_colorings(
-            g,
-            e,
-            config.samples,
-            _edge_seed(config.seed, g6, e),
-            timeout_ms=config.timeout_ms,
-        )
     for e in g.edges:
         x, y = e
         for p, q in ((x, y), (y, x)):
             verdict = fans.check_val(g, p, q)
             if _tally(tallies, "val", verdict.status):
                 witnesses.append(_witness(g6, (p, q), None, "val", verdict.detail))
+        seed = _edge_seed(config.seed, g6, e)
+        try:
+            per_edge[e] = oracle.sample_colorings(
+                g, e, config.samples, seed, timeout_ms=config.timeout_ms
+            )
+        except oracle.OracleTimeout as exc:
+            raise oracle.OracleTimeout(f"sampling edge {e}: {exc}") from exc
         for c in per_edge[e]:
             _coloring_suites(g6, e, c, tallies, witnesses)
     for a in range(g.n):
@@ -288,9 +285,9 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
     """Classify one graph6 line and run every applicable validator.
 
     Oracle budget expiry does not abort the run; the record keeps the
-    fields computed so far plus an ``error`` note.  Edgeless graphs get
-    the conventional chromatic index 0 and skip every coloring-based
-    check.
+    fields computed so far, the oracle-free ``overfull`` verdict, and an
+    ``error`` note.  Edgeless graphs get the conventional chromatic index
+    0 and skip every coloring-based check.
     """
     g = parse_graph6(line)
     g6 = to_graph6(g)
@@ -308,14 +305,25 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
     classify_ms = 0.0
     chi = None
     critical = False
+    ov_field = None
+    if g.n:
+        ov = overfull.is_overfull(g)
+        ov_field = {
+            "is_overfull": ov.is_overfull,
+            "excess": ov.excess,
+            "hypothesis": ov.hypothesis,
+            "hypothesis_margin": str(ov.hypothesis_margin),
+        }
     try:
         if g.m:
             t0 = perf_counter()
-            chi = oracle.chromatic_index(g, timeout_ms=config.timeout_ms)
-            critical = oracle.is_delta_critical(
-                g, chi=chi, timeout_ms=config.timeout_ms
-            )
-            classify_ms = (perf_counter() - t0) * 1000
+            try:
+                chi = oracle.chromatic_index(g, timeout_ms=config.timeout_ms)
+                critical = oracle.is_delta_critical(
+                    g, chi=chi, timeout_ms=config.timeout_ms
+                )
+            finally:
+                classify_ms = (perf_counter() - t0) * 1000
             record["chi_prime"] = chi.chi_prime
             record["class"] = chi.classification
             record["is_critical"] = critical
@@ -328,14 +336,8 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
             record["chi_prime"] = 0
             record["class"] = "class1"
             record["is_critical"] = False
+        record["overfull"] = ov_field
         if g.n:
-            ov = overfull.is_overfull(g)
-            record["overfull"] = {
-                "is_overfull": ov.is_overfull,
-                "excess": ov.excess,
-                "hypothesis": ov.hypothesis,
-                "hypothesis_margin": str(ov.hypothesis_margin),
-            }
             implication = overfull.verify_overfull_implication(
                 g, chi=chi, critical=critical, timeout_ms=config.timeout_ms
             )
@@ -348,11 +350,11 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
                     _witness(g6, None, None, "theorem1", implication.detail)
                 )
         else:
-            record["overfull"] = None
             record["theorem1"] = {"status": INAPPLICABLE, "detail": "empty graph"}
         if critical:
             _critical_suites(g, g6, config, tallies, witnesses)
     except oracle.OracleTimeout as exc:
+        record.setdefault("overfull", ov_field)
         error = f"oracle budget exceeded: {exc}"
     record["lemmas"] = tallies
     if error is not None:

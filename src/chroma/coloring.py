@@ -144,7 +144,7 @@ class ScriptOutcome:
 class PartialEdgeColoring:
     """A proper partial edge coloring with exact present/missing tracking."""
 
-    __slots__ = ("_graph", "_k", "_hole", "_colors", "_present", "_slot")
+    __slots__ = ("_graph", "_k", "_full", "_hole", "_colors", "_present", "_slot")
 
     def __init__(self, graph: Graph, k: int, hole: tuple[int, int] | None = None):
         if k < 1:
@@ -157,6 +157,7 @@ class PartialEdgeColoring:
                 raise ValueError(f"designated uncolored edge {hole} not in graph")
         self._graph = graph
         self._k = k
+        self._full = ((1 << k) - 1) << 1
         self._hole = hole
         self._colors = [0] * graph.m
         self._present = [0] * graph.n
@@ -178,7 +179,7 @@ class PartialEdgeColoring:
 
     @property
     def full_mask(self) -> int:
-        return ((1 << self._k) - 1) << 1
+        return self._full
 
     def color(self, u: int, v: int) -> int:
         return self._colors[self._graph.edge_index(u, v)]
@@ -187,7 +188,7 @@ class PartialEdgeColoring:
         return self._present[v]
 
     def missing_mask(self, v: int) -> int:
-        return self.full_mask & ~self._present[v]
+        return self._full & ~self._present[v]
 
     def missing(self, v: int) -> tuple[int, ...]:
         return _bits(self.missing_mask(v))
@@ -222,6 +223,7 @@ class PartialEdgeColoring:
         other = object.__new__(PartialEdgeColoring)
         other._graph = self._graph
         other._k = self._k
+        other._full = self._full
         other._hole = self._hole
         other._colors = self._colors[:]
         other._present = self._present[:]

@@ -223,9 +223,7 @@ class AlphaSequenceDecomposition:
         return False
 
 
-def alpha_decompose(
-    c: PartialEdgeColoring, f: Multifan
-) -> AlphaSequenceDecomposition:
+def alpha_decompose(c: PartialEdgeColoring, f: Multifan) -> AlphaSequenceDecomposition:
     """Decompose the fan's missing colors into their inducing classes.
 
     Requires an elementary fan; without disjoint missing sets the hooks
@@ -238,6 +236,11 @@ def alpha_decompose(
             f"fan is not elementary ({conflict[0]} and {conflict[1]} share "
             f"missing color {conflict[2]}); decomposition is not unique"
         )
+    return _decompose(c, f)
+
+
+def _decompose(c: PartialEdgeColoring, f: Multifan) -> AlphaSequenceDecomposition:
+    """:func:`alpha_decompose` on a fan already checked to be elementary."""
     x = f.center
     y1 = f.spokes[0]
     vertex_of_color: dict[int, int] = {}
@@ -275,19 +278,20 @@ def alpha_decompose(
     )
 
 
-def validate_fan_linkage(
-    c: PartialEdgeColoring,
-    f: Multifan,
-    decomposition: AlphaSequenceDecomposition | None = None,
-) -> Verdict:
+def validate_fan_linkage(c: PartialEdgeColoring, f: Multifan) -> Verdict:
     """Cross-class colors must be linked; in-class failures must pass the center.
 
     For missing colors at two different spokes: different seeds force the
     two spokes onto one chain, and with a shared seed where the first
     color is induced earlier, an unlinked pair forces the center onto the
-    chain ending at the later color's spoke.
+    chain ending at the later color's spoke.  Seeds exist only in an
+    elementary fan (see :func:`alpha_decompose`), so a fan whose missing
+    sets overlap is ``inapplicable``.
     """
-    dec = decomposition if decomposition is not None else alpha_decompose(c, f)
+    _check_multifan_structure(c, f)
+    if not c.is_elementary(f.vertices):
+        return Verdict(INAPPLICABLE, "fan is not elementary")
+    dec = _decompose(c, f)
     x = f.center
     spokes = f.spokes
     for i, yi in enumerate(spokes):
@@ -384,10 +388,7 @@ def kierstead_paths(
                 path.pop()
 
     for v0, v1 in (hole, (hole[1], hole[0])):
-        if vertices == 2:
-            out.append(KiersteadPath((v0, v1)))
-        else:
-            extend([v0, v1], 0)
+        extend([v0, v1], 0)
     return out
 
 
@@ -523,24 +524,42 @@ def check_degree_dichotomy(
 # Forks, short-kites, kites
 # ---------------------------------------------------------------------------
 
-_FORK_EDGE_NAMES = {
-    "fork": (("a", "b"), ("b", "u"), ("u", "s1"), ("u", "s2"), ("s1", "t1"), ("s2", "t2")),
-    "short-kite": (("a", "b"), ("a", "c"), ("b", "u"), ("c", "u"), ("u", "x"), ("u", "y")),
+# Each shape's edges as (p, q, via): the color of edge pq must be missed
+# at one of the ``via`` roles, and the uncolored edge ab has no ``via``.
+# The fork's cross condition (s1t1's color missed at t2, s2t2's at t1)
+# is not a per-edge rule and lives only in its finder.
+_SHAPES = {
+    "fork": (
+        ("a", "b", ()),
+        ("b", "u", ("a",)),
+        ("u", "s1", ("a", "b")),
+        ("u", "s2", ("a", "b")),
+        ("s1", "t1", ("a", "b")),
+        ("s2", "t2", ("a", "b")),
+    ),
+    "short-kite": (
+        ("a", "b", ()),
+        ("a", "c", ("b",)),
+        ("b", "u", ("a",)),
+        ("c", "u", ("a", "b")),
+        ("u", "x", ("a", "b")),
+        ("u", "y", ("a", "b", "c")),
+    ),
     "kite": (
-        ("a", "b"),
-        ("a", "c"),
-        ("b", "u"),
-        ("c", "u"),
-        ("u", "s1"),
-        ("u", "s2"),
-        ("s1", "t1"),
-        ("s2", "t2"),
+        ("a", "b", ()),
+        ("a", "c", ("b",)),
+        ("b", "u", ("a",)),
+        ("c", "u", ("a", "b")),
+        ("u", "s1", ("a", "b")),
+        ("u", "s2", ("a", "b", "c")),
+        ("s1", "t1", ("a", "b", "u")),
+        ("s2", "t2", ("a", "b", "c", "u")),
     ),
 }
 # Role names of each kind in the order its finder fills them.
 _ROLE_NAMES = {
-    kind: tuple(dict.fromkeys(name for pair in pairs for name in pair))
-    for kind, pairs in _FORK_EDGE_NAMES.items()
+    kind: tuple(dict.fromkeys(name for p, q, _ in edges for name in (p, q)))
+    for kind, edges in _SHAPES.items()
 }
 
 
@@ -556,17 +575,12 @@ class ForkLike:
         return dict(self.roles)
 
     def vertex(self, name: str) -> int:
-        for role, v in self.roles:
-            if role == name:
-                return v
-        raise KeyError(name)
+        return self.role_map[name]
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         m = self.role_map
-        return tuple(
-            _normalize_edge(m[p], m[q]) for p, q in _FORK_EDGE_NAMES[self.kind]
-        )
+        return tuple(_normalize_edge(m[p], m[q]) for p, q, _ in _SHAPES[self.kind])
 
 
 def _forklike(kind: str, *vertices: int) -> ForkLike:
@@ -590,7 +604,7 @@ def find_forklike(c: PartialEdgeColoring, kind: str) -> list[ForkLike]:
     orientations of the uncolored edge are tried, and the result order is
     fixed by the growth order of the role tuples.
     """
-    if kind not in _FORK_EDGE_NAMES:
+    if kind not in _SHAPES:
         raise ValueError(f"unknown kind {kind!r}")
     hole = _require_single_hole(c)
     out: list[ForkLike] = []
@@ -693,64 +707,33 @@ def _check_forklike_shape(c: PartialEdgeColoring, fl: ForkLike, kind: str) -> No
     m = fl.role_map
     verts = [v for _, v in fl.roles]
     if len(set(verts)) != len(verts):
-        raise StructuralError(f"{fl.kind} vertices must be distinct")
+        raise StructuralError(f"{kind} vertices must be distinct")
     if set(m) != set(_ROLE_NAMES[kind]):
-        raise StructuralError(f"{fl.kind} has the wrong role names")
-    ab = _normalize_edge(m["a"], m["b"])
-    if ab != hole:
-        raise StructuralError(f"{fl.kind} edge ab={ab} is not the uncolored edge")
-    for e in fl.edges:
+        raise StructuralError(f"{kind} has the wrong role names")
+    for p, q, via in _SHAPES[kind]:
+        e = _normalize_edge(m[p], m[q])
+        if not via and e != hole:
+            raise StructuralError(f"{kind} edge {p}{q}={e} is not the uncolored edge")
         if not c.graph.has_edge(*e):
-            raise StructuralError(f"{fl.kind} edge {e} not in graph")
-        if e != hole and c.color(*e) == 0:
-            raise StructuralError(f"{fl.kind} edge {e} is uncolored")
+            raise StructuralError(f"{kind} edge {e} not in graph")
+        if via and c.color(*e) == 0:
+            raise StructuralError(f"{kind} edge {e} is uncolored")
 
 
 def _forklike_precondition_failure(c: PartialEdgeColoring, fl: ForkLike) -> str | None:
-    """First failing color condition of the configuration, or None.
-
-    For forks these are the defining constraints; for the kite shapes
-    they are the alternating-path conditions the conclusions assume.
-    """
+    """First edge, in table order, whose color is missed at none of its
+    ``via`` roles, or None when every shape condition holds."""
     m = fl.role_map
-    miss = {name: c.missing_mask(v) for name, v in fl.roles}
-    ab_mask = miss["a"] | miss["b"]
-
-    def has(mask: int, u: str, v: str) -> bool:
-        return bool(mask >> c.color(m[u], m[v]) & 1)
-
-    if fl.kind == "fork":
-        checks = [
-            (has(miss["a"], "b", "u"), "bu color missed at a"),
-            (has(ab_mask, "u", "s1"), "us1 color missed at a or b"),
-            (has(ab_mask, "u", "s2"), "us2 color missed at a or b"),
-            (has(ab_mask & miss["t2"], "s1", "t1"), "s1t1 color in the shared set"),
-            (has(ab_mask & miss["t1"], "s2", "t2"), "s2t2 color in the shared set"),
-        ]
-    elif fl.kind == "short-kite":
-        checks = [
-            (has(miss["a"], "b", "u"), "bu color missed at a"),
-            (has(miss["b"], "a", "c"), "ac color missed at b"),
-            (has(ab_mask, "c", "u"), "cu color missed at a or b"),
-            (has(ab_mask, "u", "x"), "ux color missed at a or b"),
-            (has(ab_mask | miss["c"], "u", "y"), "uy color missed at a, b, or c"),
-        ]
-    else:
-        checks = [
-            (has(miss["a"], "b", "u"), "bu color missed at a"),
-            (has(miss["b"], "a", "c"), "ac color missed at b"),
-            (has(ab_mask, "c", "u"), "cu color missed at a or b"),
-            (has(ab_mask, "u", "s1"), "us1 color missed at a or b"),
-            (has(ab_mask | miss["c"], "u", "s2"), "us2 color missed at a, b, or c"),
-            (has(ab_mask | miss["u"], "s1", "t1"), "s1t1 color missed at a, b, or u"),
-            (
-                has(ab_mask | miss["c"] | miss["u"], "s2", "t2"),
-                "s2t2 color missed at a, b, c, or u",
-            ),
-        ]
-    for ok, what in checks:
-        if not ok:
-            return f"{what} fails"
+    for p, q, via in _SHAPES[fl.kind]:
+        if not via:
+            continue
+        missed = 0
+        for name in via:
+            missed |= c.missing_mask(m[name])
+        if not missed >> c.color(m[p], m[q]) & 1:
+            if len(via) > 2:
+                via = (", ".join(via[:-1]) + ",", via[-1])
+            return f"{p}{q} color missed at {' or '.join(via)} fails"
     return None
 
 

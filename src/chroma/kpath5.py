@@ -90,6 +90,7 @@ class _Interpreter:
         self.c = c
         self.k = k
         self.a, self.b, self.u, self.s, self.t = k.vertices
+        self.role = dict(zip("abust", k.vertices))
         self.alpha = 0
         self.beta = 0
         self.transcript: list[str] = []
@@ -106,10 +107,13 @@ class _Interpreter:
     def _chain(self, v: int, x: int, y: int) -> KempeChain:
         return self.c.kempe_chain(v, x, y)
 
-    def _swap_at(self, v: int, x: int, y: int, label: str) -> None:
+    def _spend_swap(self) -> None:
         self.swaps += 1
         if self.swaps > _MAX_SWAPS:
             raise _DeadEnd("swap budget exhausted")
+
+    def _swap_at(self, v: int, x: int, y: int, label: str) -> None:
+        self._spend_swap()
         chain = self._chain(v, x, y)
         self.c = self.c.swap(chain)
         self.transcript.append(
@@ -120,11 +124,24 @@ class _Interpreter:
         if not condition:
             raise _DeadEnd(f"guard failed: {claim}")
 
-    def _linked(self, v: int, w: int, x: int, y: int) -> bool:
-        return self.c.linked(v, w, x, y)
+    def _on_chain(self, member: str, anchor: str, x: int, y: int) -> bool:
+        """Whether role ``member`` lies on the (x,y)-chain at role ``anchor``."""
+        return self.role[member] in self._chain(self.role[anchor], x, y)
 
-    def _on_chain(self, member: int, anchor: int, x: int, y: int) -> bool:
-        return member in self._chain(anchor, x, y)
+    # The two claims the case analysis keeps making; each builds its claim
+    # text from the same roles and colors it tests.
+
+    def _need_linked(self, p: str, q: str, x: int, y: int) -> None:
+        self._guard(
+            self.c.linked(self.role[p], self.role[q], x, y),
+            f"{p}, {q} ({x},{y})-linked",
+        )
+
+    def _need_on_chain(self, member: str, anchor: str, x: int, y: int) -> None:
+        self._guard(
+            self._on_chain(member, anchor, x, y),
+            f"{member} on the ({x},{y})-chain at {anchor}",
+        )
 
     def _gamma_mask(self) -> int:
         return self.c.missing_mask(self.t) & (
@@ -163,16 +180,12 @@ class _Interpreter:
         on_a = gamma & self.c.missing_mask(self.a)
         on_b = gamma & self.c.missing_mask(self.b)
         if not (on_a and on_b):
-            if on_a:
-                beta0 = self._low_color(gamma)
-                lam_mask = self.c.missing_mask(self.b)
-                self._guard(lam_mask != 0, "a color is missing at b")
-                self._swap_at(self.b, beta0, self._low_color(lam_mask), "split")
-            else:
-                beta0 = self._low_color(gamma)
-                lam_mask = self.c.missing_mask(self.a)
-                self._guard(lam_mask != 0, "a color is missing at a")
-                self._swap_at(self.a, beta0, self._low_color(lam_mask), "split")
+            # Swap at the endpoint that holds no shared color.
+            side = "b" if on_a else "a"
+            v = self.role[side]
+            lam_mask = self.c.missing_mask(v)
+            self._guard(lam_mask != 0, f"a color is missing at {side}")
+            self._swap_at(v, self._low_color(gamma), self._low_color(lam_mask), "split")
             gamma = self._gamma_mask()
             on_a = gamma & self.c.missing_mask(self.a)
             on_b = gamma & self.c.missing_mask(self.b)
@@ -226,13 +239,11 @@ class _Interpreter:
         raise _DeadEnd("us color missed by neither end of the uncolored edge")
 
     def _us_on_b_side(self, tau: int) -> bool:
-        a, b, u, s, t = self.a, self.b, self.u, self.s, self.t
+        u, s, t = self.u, self.s, self.t
         if tau != self.beta:
             chain = self._chain(t, self.beta, tau)
             if _normalize_edge(u, s) not in chain.edges:
-                self.swaps += 1
-                if self.swaps > _MAX_SWAPS:
-                    raise _DeadEnd("swap budget exhausted")
+                self._spend_swap()
                 self.c = self.c.swap(chain)
                 self._note(f"us-route: ({self.beta},{tau})-swap at {t}")
                 self._guard(
@@ -301,19 +312,12 @@ class _Interpreter:
     # -- case: st color missed at b ----------------------------------------
 
     def _case_st_on_b(self, delta: int, gamma: int) -> bool:
-        a, b, t = self.a, self.b, self.t
-        self._guard(
-            self._linked(a, b, delta, self.beta), f"a, b ({delta},{self.beta})-linked"
-        )
-        if self._on_chain(self.u, a, self.beta, delta):
+        a, t = self.a, self.t
+        self._need_linked("a", "b", delta, self.beta)
+        if self._on_chain("u", "a", self.beta, delta):
             self._swap_at(t, self.beta, delta, "st-on-b")
-            self._guard(
-                self._linked(a, b, delta, gamma), f"a, b ({delta},{gamma})-linked"
-            )
-            self._guard(
-                self._on_chain(self.u, t, delta, gamma),
-                f"u on the ({delta},{gamma})-chain at t",
-            )
+            self._need_linked("a", "b", delta, gamma)
+            self._need_on_chain("u", "t", delta, gamma)
             self._swap_at(a, delta, gamma, "st-on-b")
             return self._settled("st-on-b")
         self._swap_at(a, self.beta, delta, "st-on-b-offchain")
@@ -323,28 +327,17 @@ class _Interpreter:
     # -- case: st color missed at u ----------------------------------------
 
     def _case_st_on_u(self, delta: int, gamma: int) -> bool:
-        a, b, t, u = self.a, self.b, self.t, self.u
-        self._guard(
-            self._linked(b, u, self.beta, gamma),
-            f"b, u ({self.beta},{gamma})-linked",
-        )
+        a, t = self.a, self.t
+        self._need_linked("b", "u", self.beta, gamma)
         if self._misses(t, delta):
             self._swap_at(t, self.beta, gamma, "st-on-u")
-            self._guard(
-                self._on_chain(u, t, delta, self.beta),
-                f"u on the ({delta},{self.beta})-chain at t",
-            )
+            self._need_on_chain("u", "t", delta, self.beta)
             self._swap_at(a, self.beta, delta, "st-on-u")
             return self._settled("st-on-u")
-        self._guard(
-            self._linked(a, u, delta, gamma), f"a, u ({delta},{gamma})-linked"
-        )
+        self._need_linked("a", "u", delta, gamma)
         self._swap_at(t, self.beta, gamma, "st-on-u-far")
         self._swap_at(t, gamma, delta, "st-on-u-far")
-        self._guard(
-            self._on_chain(u, t, self.beta, delta),
-            f"u on the ({self.beta},{delta})-chain at t",
-        )
+        self._need_on_chain("u", "t", self.beta, delta)
         self._swap_at(a, self.beta, delta, "st-on-u-far")
         return self._settled("st-on-u-far")
 
@@ -353,15 +346,9 @@ class _Interpreter:
     def _case_st_on_a(self, delta: int, gamma: int) -> bool:
         a, b, t, u = self.a, self.b, self.t, self.u
         if self._misses(t, delta):
-            self._guard(
-                self._linked(a, b, gamma, self.beta),
-                f"a, b ({gamma},{self.beta})-linked",
-            )
+            self._need_linked("a", "b", gamma, self.beta)
             self._swap_at(t, self.beta, gamma, "st-on-a")
-            self._guard(
-                self._linked(a, b, delta, self.beta),
-                f"a, b ({delta},{self.beta})-linked",
-            )
+            self._need_linked("a", "b", delta, self.beta)
             self._swap_at(a, self.beta, delta, "st-on-a")
             return self._settled("st-on-a")
         third = self._gamma_mask() & ~(1 << self.alpha) & ~(1 << self.beta)
@@ -369,16 +356,12 @@ class _Interpreter:
         tau = self._low_color(third)
         self._note(f"third shared color tau={tau}")
         if self._misses(u, tau):
-            self._guard(
-                self._linked(a, u, tau, delta), f"a, u ({tau},{delta})-linked"
-            )
+            self._need_linked("a", "u", tau, delta)
             self._swap_at(t, tau, delta, "st-on-a-tau-u")
             return False
         if self._misses(b, tau):
-            self._guard(
-                self._linked(a, b, delta, tau), f"a, b ({delta},{tau})-linked"
-            )
-            if not self._on_chain(u, a, tau, delta):
+            self._need_linked("a", "b", delta, tau)
+            if not self._on_chain("u", "a", tau, delta):
                 self._swap_at(a, tau, delta, "st-on-a-tau-b-offchain")
                 return self._settled("st-on-a-tau-b-offchain")
             self._swap_at(t, tau, delta, "st-on-a-tau-b")
@@ -386,36 +369,22 @@ class _Interpreter:
         return self._tau_on_a(delta, gamma, tau)
 
     def _tau_on_a(self, delta: int, gamma: int, tau: int) -> bool:
-        a, t, u = self.a, self.t, self.u
+        a, t = self.a, self.t
         alpha, beta = self.alpha, self.beta
-        b = self.b
-        self._guard(self._linked(a, b, delta, beta), f"a, b ({delta},{beta})-linked")
-        if not self._on_chain(u, a, beta, delta):
+        self._need_linked("a", "b", delta, beta)
+        if not self._on_chain("u", "a", beta, delta):
             self._swap_at(a, beta, delta, "tau-on-a-long")
-            self._guard(
-                self._linked(a, b, alpha, delta), f"a, b ({alpha},{delta})-linked"
-            )
-            self._guard(
-                self._on_chain(u, a, alpha, delta),
-                f"u on the ({alpha},{delta})-chain at a",
-            )
+            self._need_linked("a", "b", alpha, delta)
+            self._need_on_chain("u", "a", alpha, delta)
             self._swap_at(t, alpha, delta, "tau-on-a-long")
-            self._guard(
-                self._on_chain(u, t, gamma, delta),
-                f"u on the ({gamma},{delta})-chain at t",
-            )
+            self._need_on_chain("u", "t", gamma, delta)
             self._swap_at(a, gamma, delta, "tau-on-a-long")
             self._swap_at(t, beta, gamma, "tau-on-a-long")
             self._swap_at(t, gamma, alpha, "tau-on-a-long")
-            self._guard(
-                self._linked(a, b, tau, gamma), f"a, b ({tau},{gamma})-linked"
-            )
+            self._need_linked("a", "b", tau, gamma)
             self._swap_at(t, tau, gamma, "tau-on-a-long")
             self._swap_at(a, beta, gamma, "tau-on-a-long")
-            self._guard(
-                self._on_chain(u, t, beta, delta),
-                f"u on the ({beta},{delta})-chain at t",
-            )
+            self._need_on_chain("u", "t", beta, delta)
             self._swap_at(a, beta, delta, "tau-on-a-long")
             return self._settled("tau-on-a-long")
         self._swap_at(t, beta, delta, "tau-on-a-short")

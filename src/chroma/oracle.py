@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import groupby
 
 from .coloring import PartialEdgeColoring
 from .graph import Graph, _normalize_edge
@@ -67,14 +68,15 @@ def _search(
     hole: tuple[int, int] | None,
     preset: dict[tuple[int, int], int] | None,
     rng: random.Random | None,
-    symmetry: bool,
     deadline: float | None,
 ) -> dict[tuple[int, int], int] | None:
     """Find a proper k-edge-coloring of g (minus ``hole``), else None.
 
     ``preset`` pins edge colors before the search.  ``rng`` randomizes the
-    branch order (and disables symmetry breaking, which would restrict the
-    reachable colorings).  Raises OracleTimeout when the deadline passes.
+    branch order.  Only a plain decision (no ``rng``, no ``preset``) breaks
+    color symmetry: with a preset the colors are no longer interchangeable,
+    and with an rng it would restrict the reachable colorings.  Raises
+    OracleTimeout when the deadline passes.
     """
     full = ((1 << k) - 1) << 1
     degs = g.degrees
@@ -100,22 +102,18 @@ def _search(
             if not pin(*e, color):
                 return None
 
-    if symmetry and rng is None and not preset:
+    if rng is None and preset is None:
         # Any proper coloring can be renamed so one max-degree vertex sees
         # colors 1..d in neighbor order, so pinning them loses nothing.
         vstar = max(range(g.n), key=lambda v: (degs[v], -v))
         color = 0
-        ok = True
         for w in g.neighbors(vstar):
             e = _normalize_edge(vstar, w)
             if e == hole:
                 continue
             color += 1
             if color > k or not pin(*e, color):
-                ok = False
-                break
-        if not ok:
-            return None
+                return None
 
     todo = [
         e
@@ -123,20 +121,14 @@ def _search(
         if e != hole and e not in assignment
     ]
     todo.sort(key=lambda e: (-(degs[e[0]] + degs[e[1]]), e))
-    if rng is not None and todo:
+    if rng is not None:
         # Shuffle within equal-priority groups: keeps the dense-first shape
         # of the search but varies which coloring is reached first.
-        grouped: list[tuple[int, ...]] = []
-        start = 0
-        for i in range(1, len(todo) + 1):
-            if i == len(todo) or (
-                degs[todo[i][0]] + degs[todo[i][1]]
-                != degs[todo[start][0]] + degs[todo[start][1]]
-            ):
-                chunk = todo[start:i]
-                rng.shuffle(chunk)
-                grouped.extend(chunk)
-                start = i
+        grouped: list[tuple[int, int]] = []
+        for _, chunk in groupby(todo, key=lambda e: degs[e[0]] + degs[e[1]]):
+            chunk = list(chunk)
+            rng.shuffle(chunk)
+            grouped.extend(chunk)
         todo = grouped
 
     nodes = 0
@@ -194,7 +186,7 @@ def decide_colorable(
     timeout_ms: int | None = DEFAULT_TIMEOUT_MS,
 ) -> PartialEdgeColoring | None:
     """A proper k-edge-coloring of g (minus ``hole``) or None if impossible."""
-    found = _search(g, k, hole, None, None, True, _deadline(timeout_ms))
+    found = _search(g, k, hole, None, None, _deadline(timeout_ms))
     if found is None:
         return None
     return PartialEdgeColoring.from_assignment(g, k, found, hole=hole)
@@ -299,9 +291,8 @@ def sample_colorings(
     delta = g.max_degree
     out = []
     for i in range(count):
-        found = _search(
-            g, delta, hole, None, _sample_rng(seed, i), False, _deadline(timeout_ms)
-        )
+        rng = _sample_rng(seed, i)
+        found = _search(g, delta, hole, None, rng, _deadline(timeout_ms))
         if found is None:
             raise UncolorableError(
                 f"no max-degree coloring of the graph minus {hole} exists"
@@ -328,7 +319,7 @@ def complete_coloring(
         e: c.color(*e) for e in g.edges if c.color(*e) and e != c.hole
     }
     rng = None if seed is None else _sample_rng(seed, 0)
-    found = _search(g, c.k, c.hole, preset, rng, False, _deadline(timeout_ms))
+    found = _search(g, c.k, c.hole, preset, rng, _deadline(timeout_ms))
     if found is None:
         return None
     return PartialEdgeColoring.from_assignment(g, c.k, found, hole=c.hole)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 
 import chroma.census
 import chroma.fans
+import chroma.oracle
 from chroma import (
     CensusConfig,
     Verdict,
@@ -66,6 +68,54 @@ def test_examine_cycle_record():
     }
     _tally_sums_consistent(rec)
     assert set(rec["timings"]) == {"classify_ms", "total_ms"}
+
+
+def test_sampling_timeout_keeps_earlier_edges(monkeypatch):
+    real = chroma.oracle.sample_colorings
+    sampled = []
+
+    def fail_on_second_edge(g, e, *args, **kwargs):
+        sampled.append(e)
+        if len(sampled) == 2:
+            raise chroma.oracle.OracleTimeout("forced")
+        return real(g, e, *args, **kwargs)
+
+    monkeypatch.setattr(chroma.oracle, "sample_colorings", fail_on_second_edge)
+    rec = examine_graph("Dhc", _SMALL).record
+    assert len(sampled) == 2
+    assert rec["error"] == (
+        f"oracle budget exceeded: sampling edge {sampled[1]}: forced"
+    )
+    lemmas = rec["lemmas"]
+    # Both edges ran val; only the first edge's 5 colorings reached the
+    # coloring suites, and the per-vertex suite never ran.
+    assert lemmas["val"]["checked"] == 4
+    assert lemmas["multifan"] == {
+        "checked": 10, "ok": 10, "inapplicable": 0, "violations": 0
+    }
+    assert lemmas["kierstead4"]["ok"] == 10
+    assert lemmas["fork"]["checked"] == 5
+    assert lemmas["degree-dichotomy"]["checked"] == 0
+    _tally_sums_consistent(rec)
+
+
+def test_classification_timeout_keeps_overfull(monkeypatch):
+    def slow_timeout(g, *, timeout_ms):
+        time.sleep(0.005)
+        raise chroma.oracle.OracleTimeout("forced")
+
+    monkeypatch.setattr(chroma.oracle, "chromatic_index", slow_timeout)
+    rec = examine_graph("Dhc", _SMALL).record
+    assert rec["error"] == "oracle budget exceeded: forced"
+    assert rec["overfull"] == {
+        "is_overfull": True,
+        "excess": 1,
+        "hypothesis": False,
+        "hypothesis_margin": "-1",
+    }
+    assert "chi_prime" not in rec
+    assert rec["timings"]["classify_ms"] >= 5
+    assert all(t["checked"] == 0 for t in rec["lemmas"].values())
 
 
 def test_examine_class_one_graph_runs_no_suites():

@@ -14,6 +14,7 @@ from chroma import (
     Multifan,
     PartialEdgeColoring,
     StructuralError,
+    Verdict,
     alpha_decompose,
     check_degree_dichotomy,
     check_fork_exclusion,
@@ -31,6 +32,7 @@ from chroma import (
     validate_multifan,
     validate_shortkite,
 )
+from chroma.fans import _forklike_precondition_failure
 
 
 def _host(
@@ -155,8 +157,17 @@ def test_fan_linkage_violation_on_synthetic_host():
     verdict = validate_fan_linkage(c, fan)
     assert verdict.status == VIOLATION
     assert "different seeds but are not linked" in verdict.detail
-    dec = alpha_decompose(c, fan)
-    assert validate_fan_linkage(c, fan, dec) == verdict
+
+
+def test_fan_linkage_inapplicable_on_non_elementary_fan():
+    # Both ends of a lone uncolored edge miss every color, so the fan's
+    # missing sets overlap and there are no seeds to decompose by.
+    c = _host([(0, 1)], {}, k=2)
+    fan = grow_multifan(c)
+    verdict = validate_fan_linkage(c, fan)
+    assert verdict == Verdict(INAPPLICABLE, "fan is not elementary")
+    with pytest.raises(StructuralError, match="distinct"):
+        validate_fan_linkage(c, Multifan(0, (1, 1)))
 
 
 # -- Kierstead paths --------------------------------------------------------
@@ -395,6 +406,41 @@ def test_kite_different_tip_colors_inapplicable():
     assert "different colors" in verdict.detail
 
 
+def _assert_finder_meets_shape(c: PartialEdgeColoring) -> None:
+    # The finders and the shape table encode the same color conditions
+    # twice; every embedding a finder returns must pass the table.
+    for kind in ("short-kite", "kite"):
+        for fl in find_forklike(c, kind):
+            assert _forklike_precondition_failure(c, fl) is None, (kind, fl)
+
+
+def test_finders_agree_with_shape_table():
+    # The tight hosts add pendant edges at a, b, and c so that the widest
+    # conditions need their last role: on the short-kite, uy's color is
+    # missed only at c; on the kite, us2's only at c, and s1t1's and
+    # s2t2's only at u.
+    tight_shortkite = _host(
+        _SHORTKITE_EDGES + [(0, 6), (1, 7)],
+        {**_SHORTKITE_ASSIGN, (0, 6): 5, (1, 7): 5},
+        k=5,
+    )
+    tight_kite = _host(
+        _KITE_EDGES + [(0, 8), (1, 9), (0, 10), (1, 11), (2, 12)],
+        {**_KITE_ASSIGN, (0, 8): 5, (1, 9): 5, (0, 10): 6, (1, 11): 6, (2, 12): 6},
+        k=6,
+    )
+    hosts = [
+        _host(_SHORTKITE_EDGES, _SHORTKITE_ASSIGN, k=5),
+        _host(_KITE_EDGES, _KITE_ASSIGN, k=6),
+        tight_shortkite,
+        tight_kite,
+    ]
+    for c in hosts:
+        _assert_finder_meets_shape(c)
+    for c, kind in zip(hosts, ("short-kite", "kite") * 2):
+        assert find_forklike(c, kind)
+
+
 def test_find_forklike_rejects_unknown_kind():
     c = _c5_coloring()
     with pytest.raises(ValueError, match="unknown kind"):
@@ -416,10 +462,11 @@ def _assert_no_violations(c: PartialEdgeColoring) -> None:
                 assert color in c.missing(holder)
             spread = [y for members in dec.classes.values() for y in members]
             assert sorted(spread) == sorted(fan.spokes[1:])
-            assert validate_fan_linkage(c, fan, dec).status == OK
+            assert validate_fan_linkage(c, fan).status == OK
     for path in kierstead_paths(c, 4):
         assert validate_kierstead4(c, path).status == OK
     assert check_fork_exclusion(c).status == OK
+    _assert_finder_meets_shape(c)
     for sk in find_forklike(c, "short-kite"):
         assert validate_shortkite(c, sk).status != VIOLATION
     for kt in find_forklike(c, "kite"):
