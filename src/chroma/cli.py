@@ -45,6 +45,15 @@ def _load_graph(path: str) -> Graph:
     return parse_graph6(lines[0])
 
 
+def _print_row(fmt: str, row: dict) -> None:
+    """Print one result as a JSON object, or as a CSV header and value line."""
+    if fmt == "csv":
+        print(",".join(row))
+        print(",".join(str(value) for value in row.values()))
+    else:
+        print(json.dumps(row))
+
+
 def _cmd_color(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     chi = oracle.chromatic_index(g, timeout_ms=args.timeout_ms)
@@ -60,11 +69,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
 def _cmd_chi(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     chi = oracle.chromatic_index(g, timeout_ms=args.timeout_ms)
-    if args.format == "csv":
-        print("chi_prime,class")
-        print(f"{chi.chi_prime},{chi.classification}")
-    else:
-        print(json.dumps({"chi_prime": chi.chi_prime, "class": chi.classification}))
+    _print_row(args.format, {"chi_prime": chi.chi_prime, "class": chi.classification})
     return 0
 
 
@@ -72,42 +77,25 @@ def _cmd_critical(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     chi = oracle.chromatic_index(g, timeout_ms=args.timeout_ms)
     critical = oracle.is_delta_critical(g, chi=chi, timeout_ms=args.timeout_ms)
-    if args.format == "csv":
-        print("is_critical,chi_prime,class")
-        print(f"{critical},{chi.chi_prime},{chi.classification}")
-    else:
-        print(
-            json.dumps(
-                {
-                    "is_critical": critical,
-                    "chi_prime": chi.chi_prime,
-                    "class": chi.classification,
-                }
-            )
-        )
+    _print_row(
+        args.format,
+        {"is_critical": critical, "chi_prime": chi.chi_prime, "class": chi.classification},
+    )
     return 0
 
 
 def _cmd_overfull(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     verdict = overfull.is_overfull(g)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "is_overfull": verdict.is_overfull,
-                    "excess": verdict.excess,
-                    "hypothesis": verdict.hypothesis,
-                    "hypothesis_margin": str(verdict.hypothesis_margin),
-                }
-            )
-        )
-    elif args.format == "csv":
-        print("is_overfull,excess")
-        print(f"{verdict.is_overfull},{verdict.excess}")
-    else:
+    if args.format is None:
         word = "overfull" if verdict.is_overfull else "not overfull"
         print(f"{word} excess={verdict.excess}")
+        return 0
+    row = {"is_overfull": verdict.is_overfull, "excess": verdict.excess}
+    if args.format == "json":
+        row["hypothesis"] = verdict.hypothesis
+        row["hypothesis_margin"] = str(verdict.hypothesis_margin)
+    _print_row(args.format, row)
     return 0
 
 
@@ -193,23 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("color", help="print a minimum proper edge coloring")
-    _add_input(p)
-    _add_timeout(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_color)
-
-    p = sub.add_parser("chi", help="decide the chromatic index")
-    _add_input(p)
-    _add_timeout(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_chi)
-
-    p = sub.add_parser("critical", help="certify edge-criticality")
-    _add_input(p)
-    _add_timeout(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_critical)
+    for name, help_text, func in (
+        ("color", "print a minimum proper edge coloring", _cmd_color),
+        ("chi", "decide the chromatic index", _cmd_chi),
+        ("critical", "certify edge-criticality", _cmd_critical),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_input(p)
+        _add_timeout(p)
+        _add_format(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("overfull", help="report overfullness and excess")
     _add_input(p)

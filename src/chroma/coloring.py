@@ -3,8 +3,10 @@
 A :class:`PartialEdgeColoring` assigns colors from ``1 .. k`` to a subset
 of the edges of a graph; ``0`` is the uncolored sentinel.  At most one
 edge is *designated* uncolored (the hole) in the states the validators
-consume, but the colorer builds states with many unassigned edges, so the
-class tolerates both.
+consume, but states with many unassigned edges arise too: the shell from
+``empty_partial``, the input that ``oracle.complete_coloring`` extends,
+the states between ``ColorEdge`` steps of a script, and partial
+``from_assignment`` dicts.  The class tolerates both.
 
 Per-vertex bookkeeping is exact and incremental: ``present_mask(v)`` is a
 bitmask of colors on edges at ``v``, ``missing_mask(v)`` its complement
@@ -314,76 +316,36 @@ class PartialEdgeColoring:
         for c in (alpha, beta):
             if not 1 <= c <= self._k:
                 raise ValueError(f"color {c} outside palette 1..{self._k}")
-        a_next = self._slot[x][alpha]
-        b_next = self._slot[x][beta]
-        if a_next < 0 and b_next < 0:
-            return KempeChain((alpha, beta), "path", (x,), (), ())
-
-        def walk(start: int, first: int) -> list[int]:
-            seq = [start]
-            color = first
-            cur = start
-            while True:
-                nxt = self._slot[cur][color]
-                if nxt < 0 or (nxt == start and len(seq) > 2):
-                    if nxt == start and len(seq) > 2:
-                        seq.append(start)
-                    return seq
-                seq.append(nxt)
-                cur = nxt
-                color = alpha if color == beta else beta
-
-        if a_next >= 0 and b_next >= 0:
-            forward = walk(x, alpha)
-            if forward[-1] == x:
-                cycle = forward[:-1]
-                pivot = cycle.index(min(cycle))
-                cycle = cycle[pivot:] + cycle[:pivot]
-                if len(cycle) > 2 and cycle[-1] < cycle[1]:
-                    cycle = [cycle[0]] + cycle[1:][::-1]
-                verts = tuple(cycle)
-                edges = tuple(
-                    _normalize_edge(verts[i], verts[(i + 1) % len(verts)])
-                    for i in range(len(verts))
-                )
-                return self._finish_chain((alpha, beta), "cycle", verts, edges)
-            backward = walk(x, beta)
-            verts_list = forward[::-1] + backward[1:]
-        elif a_next >= 0:
-            verts_list = walk(x, alpha)
+        forward = self._walk(x, alpha, beta)
+        if len(forward) > 1 and forward[-1] == x:
+            cycle = forward[:-1]
+            pivot = cycle.index(min(cycle))
+            verts = cycle[pivot:] + cycle[:pivot]
+            if verts[-1] < verts[1]:
+                verts[1:] = reversed(verts[1:])
+            shape, pairs = "cycle", zip(verts, verts[1:] + verts[:1])
         else:
-            verts_list = walk(x, beta)
-        if verts_list[0] > verts_list[-1]:
-            verts_list.reverse()
-        verts = tuple(verts_list)
-        edges = tuple(
-            _normalize_edge(verts[i], verts[i + 1]) for i in range(len(verts) - 1)
-        )
-        return self._finish_chain((alpha, beta), "path", verts, edges)
-
-    def _finish_chain(
-        self,
-        colors: tuple[int, int],
-        shape: str,
-        verts: tuple[int, ...],
-        edges: tuple[tuple[int, int], ...],
-    ) -> KempeChain:
+            verts = forward[::-1] + self._walk(x, beta, alpha)[1:]
+            if verts[0] > verts[-1]:
+                verts.reverse()
+            shape, pairs = "path", zip(verts, verts[1:])
+        edges = tuple(_normalize_edge(u, v) for u, v in pairs)
         edge_colors = tuple(self._colors[self._graph.edge_index(u, v)] for u, v in edges)
-        return KempeChain(colors, shape, verts, edges, edge_colors)
+        return KempeChain((alpha, beta), shape, tuple(verts), edges, edge_colors)
 
-    def _flip_edges(self, chain: KempeChain, edges, expected) -> "PartialEdgeColoring":
-        alpha, beta = chain.colors
-        for (u, v), c in zip(edges, expected):
-            if self._colors[self._graph.edge_index(u, v)] != c:
-                raise ValueError(
-                    f"stale chain: edge ({u}, {v}) no longer carries color {c}"
-                )
-        out = self.copy()
-        for (u, v), c in zip(edges, expected):
-            out._unassign(u, v)
-        for (u, v), c in zip(edges, expected):
-            out._assign(u, v, beta if c == alpha else alpha)
-        return out
+    def _walk(self, x: int, first: int, second: int) -> list[int]:
+        """Vertices met from ``x`` along edges colored ``first``, ``second``,
+        ``first``, ...; ends where the next color is missing or back at ``x``."""
+        seq = [x]
+        cur = x
+        while True:
+            cur = self._slot[cur][first]
+            if cur < 0:
+                return seq
+            seq.append(cur)
+            if cur == x:
+                return seq
+            first, second = second, first
 
     def swap(self, chain: KempeChain) -> "PartialEdgeColoring":
         """Exchange the two colors along a whole chain.
@@ -392,7 +354,18 @@ class PartialEdgeColoring:
         it twice restores the original value.  Raises ValueError if the
         chain is stale (an edge changed color since extraction).
         """
-        return self._flip_edges(chain, chain.edges, chain.edge_colors)
+        alpha, beta = chain.colors
+        for (u, v), c in zip(chain.edges, chain.edge_colors):
+            if self._colors[self._graph.edge_index(u, v)] != c:
+                raise ValueError(
+                    f"stale chain: edge ({u}, {v}) no longer carries color {c}"
+                )
+        out = self.copy()
+        for u, v in chain.edges:
+            out._unassign(u, v)
+        for (u, v), c in zip(chain.edges, chain.edge_colors):
+            out._assign(u, v, beta if c == alpha else alpha)
+        return out
 
     def swap_subchain(
         self, x: int, y: int, alpha: int, beta: int
@@ -409,15 +382,10 @@ class PartialEdgeColoring:
                 f"{x} and {y} are not ({alpha}, {beta})-linked; no segment to swap"
             )
         seg = chain.segment(x, y)
-        out = self.copy()
-        for (u, v) in seg.edges:
-            out._unassign(u, v)
         try:
-            for (u, v), c in zip(seg.edges, seg.edge_colors):
-                out._assign(u, v, beta if c == alpha else alpha)
+            return self.swap(seg)
         except ValueError as exc:
             raise ValueError(f"subchain swap between {x} and {y} is improper: {exc}") from None
-        return out
 
     def linked(self, x: int, y: int, alpha: int, beta: int) -> bool:
         """True when ``x`` and ``y`` lie on the same (alpha, beta)-chain.

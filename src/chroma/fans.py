@@ -13,7 +13,7 @@ the interesting output: each one would falsify a known invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Container, Iterator
 
 from .coloring import PartialEdgeColoring
 from .graph import Graph, _bits, _normalize_edge
@@ -69,6 +69,19 @@ def _require_single_hole(c: PartialEdgeColoring) -> tuple[int, int]:
     return c.hole
 
 
+def _partners(
+    c: PartialEdgeColoring, v: int, mask: int, used: Container[int]
+) -> list[int]:
+    """The neighbors of ``v`` across the colors in ``mask`` that are not
+    in ``used``, in increasing color order."""
+    out = []
+    for color in _bits(mask):
+        w = c.partner(v, color)
+        if w is not None and w not in used:
+            out.append(w)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Multifans
 # ---------------------------------------------------------------------------
@@ -110,21 +123,13 @@ def grow_multifan(c: PartialEdgeColoring, center: int | None = None) -> Multifan
     x = center
     y1 = hole[1] if hole[0] == x else hole[0]
     spokes = [y1]
-    in_fan = {x, y1}
     missed = c.missing_mask(y1)
     while True:
-        best: tuple[int, int] | None = None
-        for color in _bits(missed):
-            z = c.partner(x, color)
-            if z is not None and z not in in_fan:
-                if best is None or (color, z) < best:
-                    best = (color, z)
-        if best is None:
+        step = _partners(c, x, missed, spokes)
+        if not step:
             return Multifan(x, tuple(spokes))
-        _, z = best
-        spokes.append(z)
-        in_fan.add(z)
-        missed |= c.missing_mask(z)
+        spokes.append(step[0])
+        missed |= c.missing_mask(step[0])
 
 
 def _check_multifan_structure(c: PartialEdgeColoring, f: Multifan) -> None:
@@ -378,14 +383,11 @@ def kierstead_paths(
         if len(path) == vertices:
             out.append(KiersteadPath(tuple(path)))
             return
-        tail = path[-1]
         allowed = missed_all_but_last | c.missing_mask(path[-2])
-        for color in _bits(allowed):
-            w = c.partner(tail, color)
-            if w is not None and w not in path:
-                path.append(w)
-                extend(path, allowed)
-                path.pop()
+        for w in _partners(c, path[-1], allowed, path):
+            path.append(w)
+            extend(path, allowed)
+            path.pop()
 
     for v0, v1 in (hole, (hole[1], hole[0])):
         extend([v0, v1], 0)
@@ -406,16 +408,10 @@ def grow_kierstead(
         allowed = 0
         for v in vertices[:-1]:
             allowed |= c.missing_mask(v)
-        tail = vertices[-1]
-        best: tuple[int, int] | None = None
-        for color in _bits(allowed):
-            w = c.partner(tail, color)
-            if w is not None and w not in vertices:
-                if best is None or (color, w) < best:
-                    best = (color, w)
-        if best is None:
+        step = _partners(c, vertices[-1], allowed, vertices)
+        if not step:
             break
-        vertices.append(best[1])
+        vertices.append(step[0])
     return KiersteadPath(tuple(vertices))
 
 
@@ -587,15 +583,6 @@ def _forklike(kind: str, *vertices: int) -> ForkLike:
     return ForkLike(kind, tuple(zip(_ROLE_NAMES[kind], vertices)))
 
 
-def _partners(c: PartialEdgeColoring, v: int, mask: int) -> list[int]:
-    out = []
-    for color in _bits(mask):
-        w = c.partner(v, color)
-        if w is not None:
-            out.append(w)
-    return out
-
-
 def find_forklike(c: PartialEdgeColoring, kind: str) -> list[ForkLike]:
     """Exhaustively list embeddings of the requested configuration.
 
@@ -621,21 +608,13 @@ def find_forklike(c: PartialEdgeColoring, kind: str) -> list[ForkLike]:
 def _find_forks(c: PartialEdgeColoring, a: int, b: int, out: list[ForkLike]) -> None:
     miss_a = c.missing_mask(a)
     miss_ab = miss_a | c.missing_mask(b)
-    for u in _partners(c, b, miss_a):
-        if u == a:
-            continue
-        branch = [
-            s for s in _partners(c, u, miss_ab) if s not in (a, b)
-        ]
+    for u in _partners(c, b, miss_a, (a,)):
+        branch = _partners(c, u, miss_ab, (a, b))
         for i, s1 in enumerate(branch):
             for s2 in branch[i + 1:]:
                 lo, hi = sorted((s1, s2))
-                for t1 in _partners(c, lo, miss_ab):
-                    if t1 in (a, b, u, lo, hi):
-                        continue
-                    for t2 in _partners(c, hi, miss_ab):
-                        if t2 in (a, b, u, lo, hi, t1):
-                            continue
+                for t1 in _partners(c, lo, miss_ab, (a, b, u, lo, hi)):
+                    for t2 in _partners(c, hi, miss_ab, (a, b, u, lo, hi, t1)):
                         c1 = c.color(lo, t1)
                         c2 = c.color(hi, t2)
                         if (
@@ -653,12 +632,8 @@ def _kite_bases(
     miss_a = c.missing_mask(a)
     miss_b = c.missing_mask(b)
     miss_ab = miss_a | miss_b
-    for cc in _partners(c, a, miss_b):
-        if cc == b:
-            continue
-        for u in _partners(c, b, miss_a):
-            if u in (a, b, cc):
-                continue
+    for cc in _partners(c, a, miss_b, (b,)):
+        for u in _partners(c, b, miss_a, (a, b, cc)):
             if not c.graph.has_edge(cc, u):
                 continue
             cu_color = c.color(cc, u)
@@ -671,12 +646,8 @@ def _find_short_kites(
 ) -> None:
     miss_ab = c.missing_mask(a) | c.missing_mask(b)
     for cc, u in _kite_bases(c, a, b):
-        for x in _partners(c, u, miss_ab):
-            if x in (a, b, cc, u):
-                continue
-            for y in _partners(c, u, miss_ab | c.missing_mask(cc)):
-                if y in (a, b, cc, u, x):
-                    continue
+        for x in _partners(c, u, miss_ab, (a, b, cc, u)):
+            for y in _partners(c, u, miss_ab | c.missing_mask(cc), (a, b, cc, u, x)):
                 out.append(_forklike("short-kite", a, b, cc, u, x, y))
 
 
@@ -684,19 +655,12 @@ def _find_kites(c: PartialEdgeColoring, a: int, b: int, out: list[ForkLike]) -> 
     miss_ab = c.missing_mask(a) | c.missing_mask(b)
     for cc, u in _kite_bases(c, a, b):
         miss_abc = miss_ab | c.missing_mask(cc)
-        miss_abcu = miss_abc | c.missing_mask(u)
-        for s1 in _partners(c, u, miss_ab):
-            if s1 in (a, b, cc, u):
-                continue
-            for s2 in _partners(c, u, miss_abc):
-                if s2 in (a, b, cc, u, s1):
-                    continue
-                for t1 in _partners(c, s1, miss_ab | c.missing_mask(u)):
-                    if t1 in (a, b, cc, u, s1, s2):
-                        continue
-                    for t2 in _partners(c, s2, miss_abcu):
-                        if t2 in (a, b, cc, u, s1, s2, t1):
-                            continue
+        miss_abu = miss_ab | c.missing_mask(u)
+        miss_abcu = miss_abc | miss_abu
+        for s1 in _partners(c, u, miss_ab, (a, b, cc, u)):
+            for s2 in _partners(c, u, miss_abc, (a, b, cc, u, s1)):
+                for t1 in _partners(c, s1, miss_abu, (a, b, cc, u, s1, s2)):
+                    for t2 in _partners(c, s2, miss_abcu, (a, b, cc, u, s1, s2, t1)):
                         out.append(_forklike("kite", a, b, cc, u, s1, s2, t1, t2))
 
 

@@ -255,10 +255,13 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def iter_graph6_lines(text: str) -> Iterator[str]:
-    """Yield the graph6 payload lines of a corpus, skipping blanks and comments."""
+    """Yield the graph6 payload lines of a corpus, skipping blanks and comments.
+
+    ``#`` starts a comment anywhere on a line; no graph6 payload holds it.
+    """
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if line.startswith(GRAPH6_HEADER):
             line = line[len(GRAPH6_HEADER):]

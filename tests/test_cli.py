@@ -24,11 +24,12 @@ def _write(tmp_path, name: str, text: str) -> str:
 
 
 def test_chi_graph6_file(tmp_path, capsys):
-    path = _write(tmp_path, "k3.g6", "Bw\n")
-    assert main(["chi", path]) == 0
-    assert json.loads(capsys.readouterr().out) == {
-        "chi_prime": 3, "class": "class2"
-    }
+    for text in ("Bw\n", "Bw  # triangle\n"):
+        path = _write(tmp_path, "k3.g6", text)
+        assert main(["chi", path]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "chi_prime": 3, "class": "class2"
+        }
 
 
 def test_chi_edge_list_autodetect(tmp_path, capsys):
@@ -61,6 +62,14 @@ def test_critical_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "is_critical": True, "chi_prime": 3, "class": "class2"
     }
+
+
+def test_chi_and_critical_csv(tmp_path, capsys):
+    path = _write(tmp_path, "c5.g6", "Dhc\n")
+    assert main(["chi", "--format", "csv", path]) == 0
+    assert capsys.readouterr().out == "chi_prime,class\n3,class2\n"
+    assert main(["critical", "--format", "csv", path]) == 0
+    assert capsys.readouterr().out == "is_critical,chi_prime,class\nTrue,3,class2\n"
 
 
 def test_overfull_text_json_csv(tmp_path, capsys):

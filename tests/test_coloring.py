@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from chroma import (
     SwapScript,
     empty_partial,
     families,
+    oracle,
 )
 
 _P4 = families.path(4)
@@ -115,6 +117,61 @@ def test_kempe_chain_cycle():
         chain.segment(0, 2)
 
 
+def _reference_component(
+    c: PartialEdgeColoring, x: int, alpha: int, beta: int
+) -> tuple[set[int], int]:
+    """Vertices and edge count of the (alpha, beta)-component through ``x``,
+    found by breadth-first search over the graph's edge colors."""
+    seen = {x}
+    queue = [x]
+    edges = set()
+    for v in queue:
+        for w in c.graph.neighbors(v):
+            if c.color(v, w) in (alpha, beta):
+                edges.add((min(v, w), max(v, w)))
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return seen, len(edges)
+
+
+def _fixture_colorings():
+    """Sampled colorings: Δ colors for the critical C5 and Petersen minus
+    a vertex, Δ + 1 colors for K5, whose edge-deleted subgraphs stay class 2."""
+    for g in (families.cycle(5), families.petersen_minus_vertex()):
+        for e in g.edges:
+            yield from oracle.sample_colorings(g, e, 3, 0)
+    k5 = families.complete(5)
+    for e in k5.edges:
+        for seed in range(3):
+            yield oracle.complete_coloring(empty_partial(k5, e, 5), seed=seed)
+
+
+def test_kempe_chain_matches_reference_component():
+    checked = {"path": 0, "cycle": 0}
+    for c in _fixture_colorings():
+        for x in range(c.graph.n):
+            for alpha, beta in itertools.permutations(range(1, c.k + 1), 2):
+                chain = c.kempe_chain(x, alpha, beta)
+                vs = chain.vertices
+                component, edge_count = _reference_component(c, x, alpha, beta)
+                assert set(vs) == component and len(vs) == len(component)
+                cyclic = edge_count == len(component)
+                assert chain.shape == ("cycle" if cyclic else "path")
+                pairs = zip(vs, vs[1:] + vs[:1] if cyclic else vs[1:])
+                assert chain.edges == tuple((min(u, v), max(u, v)) for u, v in pairs)
+                assert len(chain.edges) == edge_count
+                assert chain.edge_colors == tuple(c.color(*e) for e in chain.edges)
+                assert set(chain.edge_colors) <= {alpha, beta}
+                assert all(p != q for p, q in zip(chain.edge_colors, chain.edge_colors[1:]))
+                if cyclic:
+                    assert vs[0] == min(component) and vs[1] < vs[-1]
+                else:
+                    assert vs[0] <= vs[-1]
+                checked[chain.shape] += 1
+    assert checked["path"] and checked["cycle"]
+
+
 def test_swap_is_involution_and_leaves_original():
     c = _p4()
     chain = c.kempe_chain(0, 1, 2)
@@ -145,6 +202,11 @@ def test_subchain_swap_boundaries():
     with pytest.raises(ValueError, match="improper"):
         c.swap_subchain(1, 3, 1, 2)
     assert c.color(0, 1) == 1
+    cycle = PartialEdgeColoring.from_assignment(
+        families.cycle(4), 2, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}
+    )
+    with pytest.raises(ValueError, match="^segment of a cycle chain is ambiguous$"):
+        cycle.swap_subchain(0, 2, 1, 2)
 
 
 def test_subchain_swap_requires_linkage():

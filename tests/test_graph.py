@@ -176,5 +176,5 @@ def test_parse_edge_list_errors():
 
 
 def test_iter_graph6_lines():
-    text = ">>graph6<<\n# comment\nBw\n\nC~\n"
+    text = ">>graph6<<\n# comment\nBw\n\nC~  # K4\n"
     assert list(iter_graph6_lines(text)) == ["Bw", "C~"]
