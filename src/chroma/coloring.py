@@ -311,11 +311,7 @@ class PartialEdgeColoring:
         Whole components are returned even when ``x`` is interior; callers
         pick segments or orientations explicitly.
         """
-        if alpha == beta:
-            raise ValueError("chain colors must differ")
-        for c in (alpha, beta):
-            if not 1 <= c <= self._k:
-                raise ValueError(f"color {c} outside palette 1..{self._k}")
+        self._check_chain_colors(alpha, beta)
         forward = self._walk(x, alpha, beta)
         if len(forward) > 1 and forward[-1] == x:
             cycle = forward[:-1]
@@ -332,6 +328,13 @@ class PartialEdgeColoring:
         edges = tuple(_normalize_edge(u, v) for u, v in pairs)
         edge_colors = tuple(self._colors[self._graph.edge_index(u, v)] for u, v in edges)
         return KempeChain((alpha, beta), shape, tuple(verts), edges, edge_colors)
+
+    def _check_chain_colors(self, alpha: int, beta: int) -> None:
+        if alpha == beta:
+            raise ValueError("chain colors must differ")
+        for c in (alpha, beta):
+            if not 1 <= c <= self._k:
+                raise ValueError(f"color {c} outside palette 1..{self._k}")
 
     def _walk(self, x: int, first: int, second: int) -> list[int]:
         """Vertices met from ``x`` along edges colored ``first``, ``second``,
@@ -390,11 +393,13 @@ class PartialEdgeColoring:
     def linked(self, x: int, y: int, alpha: int, beta: int) -> bool:
         """True when ``x`` and ``y`` lie on the same (alpha, beta)-chain.
 
-        A vertex is trivially linked to itself.
+        A vertex is linked to itself whatever the colors; for two vertices
+        the colors must be valid chain colors, as for :meth:`kempe_chain`.
         """
         if x == y:
             return True
-        return y in self.kempe_chain(x, alpha, beta)
+        self._check_chain_colors(alpha, beta)
+        return y in self._walk(x, alpha, beta) or y in self._walk(x, beta, alpha)
 
     # -- vertex-set structure --------------------------------------------
 

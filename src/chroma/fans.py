@@ -13,7 +13,7 @@ the interesting output: each one would falsify a known invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterator
+from typing import Container
 
 from .coloring import PartialEdgeColoring
 from .graph import Graph, _bits, _normalize_edge
@@ -79,6 +79,39 @@ def _partners(
         w = c.partner(v, color)
         if w is not None and w not in used:
             out.append(w)
+    return out
+
+
+def _embeddings(c: PartialEdgeColoring, rows: tuple) -> list[tuple[int, ...]]:
+    """Every tuple of distinct vertices that fills ``rows``, in growth order.
+
+    Rows are ``(p, q, via)`` in role indices: edge pq carries a color
+    missed at one of the ``via`` roles.  Row 0 is the uncolored edge, in
+    both orientations; a later row grows a new ``q`` from ``p`` or, when
+    ``q`` is already placed, requires that edge.
+    """
+    hole = _require_single_hole(c)
+    out: list[tuple[int, ...]] = []
+
+    def fill(i: int, placed: list[int]) -> None:
+        if i == len(rows):
+            out.append(tuple(placed))
+            return
+        p, q, via = rows[i]
+        mask = 0
+        for r in via:
+            mask |= c.missing_mask(placed[r])
+        if q < len(placed):
+            if placed[q] in _partners(c, placed[p], mask, ()):
+                fill(i + 1, placed)
+            return
+        for w in _partners(c, placed[p], mask, placed):
+            placed.append(w)
+            fill(i + 1, placed)
+            placed.pop()
+
+    for a, b in (hole, (hole[1], hole[0])):
+        fill(1, [a, b])
     return out
 
 
@@ -314,8 +347,7 @@ def validate_fan_linkage(c: PartialEdgeColoring, f: Multifan) -> Verdict:
                             )
                     elif dec.precedes(delta, lam):
                         if not c.linked(yi, yj, delta, lam):
-                            chain = c.kempe_chain(yj, lam, delta)
-                            if x not in chain:
+                            if not c.linked(yj, x, lam, delta):
                                 return Verdict(
                                     VIOLATION,
                                     f"unlinked same-seed colors {delta} at {yi}, "
@@ -369,29 +401,17 @@ def _check_kierstead_structure(
             )
 
 
-def kierstead_paths(
-    c: PartialEdgeColoring, vertices: int
-) -> list[KiersteadPath]:
+# The Kierstead path as rows for :func:`_embeddings`: each edge after the
+# hole carries a color missed by a vertex at least two positions back.
+_KIERSTEAD_ROWS = ((0, 1, ()), (1, 2, (0,)), (2, 3, (0, 1)), (3, 4, (0, 1, 2)))
+
+
+def kierstead_paths(c: PartialEdgeColoring, vertices: int) -> list[KiersteadPath]:
     """All Kierstead paths with exactly that many vertices, both
     orientations of the uncolored edge, in lexicographic growth order."""
     if not 2 <= vertices <= 5:
         raise ValueError("supported path sizes are 2..5 vertices")
-    hole = _require_single_hole(c)
-    out: list[KiersteadPath] = []
-
-    def extend(path: list[int], missed_all_but_last: int) -> None:
-        if len(path) == vertices:
-            out.append(KiersteadPath(tuple(path)))
-            return
-        allowed = missed_all_but_last | c.missing_mask(path[-2])
-        for w in _partners(c, path[-1], allowed, path):
-            path.append(w)
-            extend(path, allowed)
-            path.pop()
-
-    for v0, v1 in (hole, (hole[1], hole[0])):
-        extend([v0, v1], 0)
-    return out
+    return [KiersteadPath(p) for p in _embeddings(c, _KIERSTEAD_ROWS[:vertices - 1])]
 
 
 def grow_kierstead(
@@ -523,7 +543,7 @@ def check_degree_dichotomy(
 # Each shape's edges as (p, q, via): the color of edge pq must be missed
 # at one of the ``via`` roles, and the uncolored edge ab has no ``via``.
 # The fork's cross condition (s1t1's color missed at t2, s2t2's at t1)
-# is not a per-edge rule and lives only in its finder.
+# is not a per-edge rule and lives in :func:`_fork_crosses` below.
 _SHAPES = {
     "fork": (
         ("a", "b", ()),
@@ -557,6 +577,25 @@ _ROLE_NAMES = {
     kind: tuple(dict.fromkeys(name for p, q, _ in edges for name in (p, q)))
     for kind, edges in _SHAPES.items()
 }
+# The same tables in role indices, as :func:`_embeddings` reads them.
+_SHAPE_ROWS = {
+    kind: tuple(
+        (names.index(p), names.index(q), tuple(names.index(r) for r in via))
+        for p, q, via in _SHAPES[kind]
+    )
+    for kind, names in _ROLE_NAMES.items()
+}
+
+
+def _fork_crosses(c: PartialEdgeColoring, fork: tuple[int, ...]) -> bool:
+    """The fork's rules beyond its rows: the branches come in increasing
+    order, and each tip misses the other branch's tip-edge color."""
+    s1, s2, t1, t2 = fork[3:]
+    return bool(
+        s1 < s2
+        and c.missing_mask(t2) >> c.color(s1, t1) & 1
+        and c.missing_mask(t1) >> c.color(s2, t2) & 1
+    )
 
 
 @dataclass(frozen=True)
@@ -579,10 +618,6 @@ class ForkLike:
         return tuple(_normalize_edge(m[p], m[q]) for p, q, _ in _SHAPES[self.kind])
 
 
-def _forklike(kind: str, *vertices: int) -> ForkLike:
-    return ForkLike(kind, tuple(zip(_ROLE_NAMES[kind], vertices)))
-
-
 def find_forklike(c: PartialEdgeColoring, kind: str) -> list[ForkLike]:
     """Exhaustively list embeddings of the requested configuration.
 
@@ -593,75 +628,10 @@ def find_forklike(c: PartialEdgeColoring, kind: str) -> list[ForkLike]:
     """
     if kind not in _SHAPES:
         raise ValueError(f"unknown kind {kind!r}")
-    hole = _require_single_hole(c)
-    out: list[ForkLike] = []
-    for a, b in (hole, (hole[1], hole[0])):
-        if kind == "fork":
-            _find_forks(c, a, b, out)
-        elif kind == "short-kite":
-            _find_short_kites(c, a, b, out)
-        else:
-            _find_kites(c, a, b, out)
-    return out
-
-
-def _find_forks(c: PartialEdgeColoring, a: int, b: int, out: list[ForkLike]) -> None:
-    miss_a = c.missing_mask(a)
-    miss_ab = miss_a | c.missing_mask(b)
-    for u in _partners(c, b, miss_a, (a,)):
-        branch = _partners(c, u, miss_ab, (a, b))
-        for i, s1 in enumerate(branch):
-            for s2 in branch[i + 1:]:
-                lo, hi = sorted((s1, s2))
-                for t1 in _partners(c, lo, miss_ab, (a, b, u, lo, hi)):
-                    for t2 in _partners(c, hi, miss_ab, (a, b, u, lo, hi, t1)):
-                        c1 = c.color(lo, t1)
-                        c2 = c.color(hi, t2)
-                        if (
-                            c.missing_mask(t2) >> c1 & 1
-                            and c.missing_mask(t1) >> c2 & 1
-                        ):
-                            out.append(_forklike("fork", a, b, u, lo, hi, t1, t2))
-
-
-def _kite_bases(
-    c: PartialEdgeColoring, a: int, b: int
-) -> Iterator[tuple[int, int]]:
-    """The roles (c, u) both kite shapes grow from: ac's color is missed
-    at b, bu's at a, and the edge cu carries a color missed at a or b."""
-    miss_a = c.missing_mask(a)
-    miss_b = c.missing_mask(b)
-    miss_ab = miss_a | miss_b
-    for cc in _partners(c, a, miss_b, (b,)):
-        for u in _partners(c, b, miss_a, (a, b, cc)):
-            if not c.graph.has_edge(cc, u):
-                continue
-            cu_color = c.color(cc, u)
-            if cu_color and miss_ab >> cu_color & 1:
-                yield cc, u
-
-
-def _find_short_kites(
-    c: PartialEdgeColoring, a: int, b: int, out: list[ForkLike]
-) -> None:
-    miss_ab = c.missing_mask(a) | c.missing_mask(b)
-    for cc, u in _kite_bases(c, a, b):
-        for x in _partners(c, u, miss_ab, (a, b, cc, u)):
-            for y in _partners(c, u, miss_ab | c.missing_mask(cc), (a, b, cc, u, x)):
-                out.append(_forklike("short-kite", a, b, cc, u, x, y))
-
-
-def _find_kites(c: PartialEdgeColoring, a: int, b: int, out: list[ForkLike]) -> None:
-    miss_ab = c.missing_mask(a) | c.missing_mask(b)
-    for cc, u in _kite_bases(c, a, b):
-        miss_abc = miss_ab | c.missing_mask(cc)
-        miss_abu = miss_ab | c.missing_mask(u)
-        miss_abcu = miss_abc | miss_abu
-        for s1 in _partners(c, u, miss_ab, (a, b, cc, u)):
-            for s2 in _partners(c, u, miss_abc, (a, b, cc, u, s1)):
-                for t1 in _partners(c, s1, miss_abu, (a, b, cc, u, s1, s2)):
-                    for t2 in _partners(c, s2, miss_abcu, (a, b, cc, u, s1, s2, t1)):
-                        out.append(_forklike("kite", a, b, cc, u, s1, s2, t1, t2))
+    found = _embeddings(c, _SHAPE_ROWS[kind])
+    if kind == "fork":
+        found = [f for f in found if _fork_crosses(c, f)]
+    return [ForkLike(kind, tuple(zip(_ROLE_NAMES[kind], f))) for f in found]
 
 
 def _check_forklike_shape(c: PartialEdgeColoring, fl: ForkLike, kind: str) -> None:

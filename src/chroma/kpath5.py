@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import KempeChain, PartialEdgeColoring
+from .coloring import PartialEdgeColoring
 from .fans import (
     INAPPLICABLE,
     VIOLATION,
@@ -104,9 +104,6 @@ class _Interpreter:
     def _color(self, u: int, v: int) -> int:
         return self.c.color(u, v)
 
-    def _chain(self, v: int, x: int, y: int) -> KempeChain:
-        return self.c.kempe_chain(v, x, y)
-
     def _spend_swap(self) -> None:
         self.swaps += 1
         if self.swaps > _MAX_SWAPS:
@@ -114,7 +111,7 @@ class _Interpreter:
 
     def _swap_at(self, v: int, x: int, y: int, label: str) -> None:
         self._spend_swap()
-        chain = self._chain(v, x, y)
+        chain = self.c.kempe_chain(v, x, y)
         self.c = self.c.swap(chain)
         self.transcript.append(
             f"{label}: ({x},{y})-swap at {v}, {len(chain.vertices)} vertices"
@@ -126,7 +123,7 @@ class _Interpreter:
 
     def _on_chain(self, member: str, anchor: str, x: int, y: int) -> bool:
         """Whether role ``member`` lies on the (x,y)-chain at role ``anchor``."""
-        return self.role[member] in self._chain(self.role[anchor], x, y)
+        return self.c.linked(self.role[anchor], self.role[member], x, y)
 
     # The two claims the case analysis keeps making; each builds its claim
     # text from the same roles and colors it tests.
@@ -241,7 +238,7 @@ class _Interpreter:
     def _us_on_b_side(self, tau: int) -> bool:
         u, s, t = self.u, self.s, self.t
         if tau != self.beta:
-            chain = self._chain(t, self.beta, tau)
+            chain = self.c.kempe_chain(t, self.beta, tau)
             if _normalize_edge(u, s) not in chain.edges:
                 self._spend_swap()
                 self.c = self.c.swap(chain)

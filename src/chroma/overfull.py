@@ -123,9 +123,11 @@ def eps_degree_condition(g: Graph, eps: Fraction | int | str) -> bool:
 
     ``eps`` must lie strictly between 0 and 1/7; inside that window the
     two inequalities together imply :func:`degree_condition`.  Pass a
-    Fraction or a string like "1/10"; floats would smuggle binary
-    rounding into a comparison this module promises to do exactly.
+    Fraction or a string like "1/10".  A float raises TypeError: it would
+    smuggle binary rounding (``Fraction(0.1)`` > 1/10) into an exact test.
     """
+    if isinstance(eps, float):
+        raise TypeError(f"eps must be a Fraction, int or string, not float {eps!r}")
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 7):
         raise ValueError(f"eps must lie strictly between 0 and 1/7, got {eps}")

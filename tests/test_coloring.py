@@ -156,6 +156,8 @@ def test_kempe_chain_matches_reference_component():
                 vs = chain.vertices
                 component, edge_count = _reference_component(c, x, alpha, beta)
                 assert set(vs) == component and len(vs) == len(component)
+                for y in range(c.graph.n):
+                    assert c.linked(x, y, alpha, beta) == (y in component)
                 cyclic = edge_count == len(component)
                 assert chain.shape == ("cycle" if cyclic else "path")
                 pairs = zip(vs, vs[1:] + vs[:1] if cyclic else vs[1:])
@@ -221,6 +223,15 @@ def test_linked():
     assert c.linked(0, 0, 1, 2)
     assert not c.linked(0, 3, 1, 2)
     assert not c.linked(1, 2, 1, 2)
+    # A vertex is linked to itself before the colors are looked at; any
+    # other pair gets kempe_chain's errors.
+    assert c.linked(0, 0, 1, 1)
+    with pytest.raises(ValueError, match="^chain colors must differ$"):
+        c.linked(0, 1, 1, 1)
+    with pytest.raises(ValueError, match="^color 3 outside palette 1..2$"):
+        c.linked(0, 1, 1, 3)
+    with pytest.raises(ValueError, match="^color 0 outside palette 1..2$"):
+        c.linked(0, 3, 0, 2)
 
 
 def test_elementary_conflict():

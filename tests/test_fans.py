@@ -32,7 +32,12 @@ from chroma import (
     validate_multifan,
     validate_shortkite,
 )
-from chroma.fans import _forklike_precondition_failure
+from chroma.fans import (
+    _SHAPES,
+    _check_forklike_shape,
+    _check_kierstead_structure,
+    _forklike_precondition_failure,
+)
 
 
 def _host(
@@ -407,9 +412,10 @@ def test_kite_different_tip_colors_inapplicable():
 
 
 def _assert_finder_meets_shape(c: PartialEdgeColoring) -> None:
-    # The finders and the shape table encode the same color conditions
-    # twice; every embedding a finder returns must pass the table.
-    for kind in ("short-kite", "kite"):
+    # The finder grows each shape from the role-index rows derived from
+    # the shape table, and the validators read the table by role name;
+    # every embedding found must pass the validators' reading too.
+    for kind in ("fork", "short-kite", "kite"):
         for fl in find_forklike(c, kind):
             assert _forklike_precondition_failure(c, fl) is None, (kind, fl)
 
@@ -439,6 +445,87 @@ def test_finders_agree_with_shape_table():
         _assert_finder_meets_shape(c)
     for c, kind in zip(hosts, ("short-kite", "kite") * 2):
         assert find_forklike(c, kind)
+
+
+def _reference_forklike(c: PartialEdgeColoring, kind: str) -> set[ForkLike]:
+    """Color-blind enumeration: grow every new role across every graph
+    edge to an unused vertex, then keep what the shape checks and the
+    fork's cross rule accept."""
+    a, b = c.hole
+    found = set()
+    partial = [{"a": a, "b": b}, {"a": b, "b": a}]
+    roles = {"a", "b"}
+    for p, q, _ in _SHAPES[kind][1:]:
+        if q not in roles:
+            roles.add(q)
+            partial = [
+                {**m, q: w}
+                for m in partial
+                for w in c.graph.neighbors(m[p])
+                if w not in m.values()
+            ]
+    for m in partial:
+        fl = ForkLike(kind, tuple(m.items()))
+        try:
+            _check_forklike_shape(c, fl, kind)
+        except StructuralError:
+            continue
+        if _forklike_precondition_failure(c, fl) is not None:
+            continue
+        if kind == "fork" and not (
+            m["s1"] < m["s2"]
+            and c.color(m["s1"], m["t1"]) in c.missing(m["t2"])
+            and c.color(m["s2"], m["t2"]) in c.missing(m["t1"])
+        ):
+            continue
+        found.add(fl)
+    return found
+
+
+def _reference_kierstead(c: PartialEdgeColoring, vertices: int) -> set[KiersteadPath]:
+    """Every simple graph path from either orientation of the hole that
+    passes the Kierstead structure check."""
+    a, b = c.hole
+    paths = [[a, b], [b, a]]
+    for _ in range(vertices - 2):
+        paths = [p + [w] for p in paths for w in c.graph.neighbors(p[-1]) if w not in p]
+    found = set()
+    for p in paths:
+        try:
+            _check_kierstead_structure(c, tuple(p))
+        except StructuralError:
+            continue
+        found.add(KiersteadPath(tuple(p)))
+    return found
+
+
+def test_finders_miss_nothing():
+    hosts = [
+        _host(_FORK_CORE_EDGES, _FORK_CORE_ASSIGN, k=5),
+        _host(_SHORTKITE_EDGES, _SHORTKITE_ASSIGN, k=5),
+        _host(_KITE_EDGES, _KITE_ASSIGN, k=6),
+    ]
+    for g in (
+        families.cycle(5),
+        families.subdivided_complete(4),
+        families.petersen_minus_vertex(),
+        families.subdivided_complete(6),
+    ):
+        for e in g.edges:
+            hosts.extend(sample_colorings(g, e, 3, seed=5))
+    counts = dict.fromkeys(("fork", "short-kite", "kite", 2, 3, 4, 5), 0)
+    for c in hosts:
+        for kind in ("fork", "short-kite", "kite"):
+            found = find_forklike(c, kind)
+            assert len(set(found)) == len(found)
+            assert set(found) == _reference_forklike(c, kind), kind
+            counts[kind] += len(found)
+        for size in range(2, 6):
+            paths = kierstead_paths(c, size)
+            assert len(set(paths)) == len(paths)
+            assert set(paths) == _reference_kierstead(c, size), size
+            counts[size] += len(paths)
+    assert all(counts.values()), counts
 
 
 def test_find_forklike_rejects_unknown_kind():

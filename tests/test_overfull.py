@@ -86,6 +86,16 @@ def test_eps_degree_condition():
     for bad in (Fraction(0), Fraction(1, 7), Fraction(2, 5), 0):
         with pytest.raises(ValueError, match="strictly between"):
             eps_degree_condition(g, bad)
+    # A star K1,5 with a 4-edge tail: n = 10, max degree 5, min degree 1
+    # sits exactly on both bounds at eps = 1/10.  Fraction(0.1) is slightly
+    # larger, which would push the max-degree bound just above 5.
+    boundary = Graph(
+        10, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (6, 7), (7, 8), (8, 9)]
+    )
+    assert eps_degree_condition(boundary, "1/10") is True
+    for inexact in (0.1, 0.125):
+        with pytest.raises(TypeError, match="not float"):
+            eps_degree_condition(boundary, inexact)
 
 
 def test_verify_implication_verdicts():
