@@ -5,8 +5,11 @@ colorings is the ground truth that the structure validators are measured
 against, so it must not borrow results from the theory it checks.  Edges
 are colored in decreasing endpoint-degree-sum order; for plain decisions
 the colors of one maximum-degree vertex's edges are fixed up front to
-break color symmetry.  Searches carry a wall-clock budget and report
-expiry as :class:`OracleTimeout`, never as a class-1/class-2 answer.
+break color symmetry.  The one counting argument used is the one behind
+``is_overfull``: each color class is a matching, so a search whose edges
+outnumber the matching capacity left after those pins fails before it
+branches.  Searches carry a wall-clock budget and report expiry as
+:class:`OracleTimeout`, never as a class-1/class-2 answer.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
+from operator import xor
 
 from .coloring import PartialEdgeColoring
 from .graph import Graph, _normalize_edge
@@ -52,6 +57,14 @@ class ChiResult:
     chi_prime: int
     classification: str  # "class1" or "class2"
     witness: PartialEdgeColoring
+
+
+def _edge_of(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
+    """The key of ``e`` in either orientation; ValueError if not an edge."""
+    u, v = e
+    if not g.has_edge(u, v):
+        raise ValueError(f"edge {e} not in graph")
+    return _normalize_edge(u, v)
 
 
 def _deadline(timeout_ms: int | None) -> float | None:
@@ -121,6 +134,13 @@ def _search(
         if e != hole and e not in assignment
     ]
     todo.sort(key=lambda e: (-(degs[e[0]] + degs[e[1]]), e))
+    # Each color class is a matching, so color c covers at most floor(f/2)
+    # more edges, f being the vertices still free for c.  Summed over the
+    # colors that is (free slots - colors with odd f) / 2, and the colors
+    # with odd f are the bits set in the XOR of all free masks.
+    free = sum(a.bit_count() for a in avail)
+    if 2 * len(todo) > free - reduce(xor, avail, 0).bit_count():
+        return None
     if rng is not None:
         # Shuffle within equal-priority groups: keeps the dense-first shape
         # of the search but varies which coloring is reached first.
@@ -185,7 +205,12 @@ def decide_colorable(
     hole: tuple[int, int] | None = None,
     timeout_ms: int | None = DEFAULT_TIMEOUT_MS,
 ) -> PartialEdgeColoring | None:
-    """A proper k-edge-coloring of g (minus ``hole``) or None if impossible."""
+    """A proper k-edge-coloring of g (minus ``hole``) or None if impossible.
+
+    Raises ValueError when ``hole``, in either orientation, is not an edge.
+    """
+    if hole is not None:
+        hole = _edge_of(g, hole)
     found = _search(g, k, hole, None, None, _deadline(timeout_ms))
     if found is None:
         return None
@@ -230,9 +255,7 @@ def is_critical_edge(
     ``chi`` for g is reused when given (the per-edge certification loop
     relies on that).
     """
-    u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge {e} not in graph")
+    u, v = _edge_of(g, e)
     if chi is None:
         chi = chromatic_index(g, timeout_ms=timeout_ms)
     if chi.classification != "class2":
@@ -282,12 +305,9 @@ def sample_colorings(
     Raises UncolorableError when no such coloring exists (``e`` was not a
     critical edge) and OracleTimeout if a sample exceeds its budget.
     """
-    u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge {e} not in graph")
+    hole = _edge_of(g, e)
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    hole = _normalize_edge(u, v)
     delta = g.max_degree
     out = []
     for i in range(count):

@@ -55,11 +55,25 @@ def test_decide_colorable():
     assert holey is not None
     assert holey.color(0, 1) == 0
     assert holey.colored_count == 4
+    # The hole is an edge in either orientation, and must be in the graph.
+    for hole in ((0, 2), (2, 0)):
+        c = decide_colorable(families.complete(3), 2, hole=hole)
+        assert c is not None and c.hole == (0, 2)
+        assert c.color(0, 2) == 0
+    with pytest.raises(ValueError, match="not in graph"):
+        decide_colorable(families.cycle(5), 2, hole=(0, 2))
 
 
 def test_timeout_budget():
+    # K11 minus a 5-edge matching has 50 = 10 * 5 edges, so the matching
+    # count cannot refute it at 10 colors and the search runs out of time.
+    g = families.complete(11)
+    for e in ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)):
+        g = g.without_edge(*e)
     with pytest.raises(OracleTimeout, match="exceeded budget"):
-        decide_colorable(families.complete(11), 10, timeout_ms=1)
+        decide_colorable(g, 10, timeout_ms=1)
+    # K11 itself is overfull (55 > 50 edges): refuted before any branching.
+    assert decide_colorable(families.complete(11), 10, timeout_ms=1) is None
     with pytest.raises(ValueError, match="timeout must be positive"):
         decide_colorable(families.complete(3), 3, timeout_ms=0)
 
