@@ -257,7 +257,9 @@ def _critical_suites(
 ) -> None:
     """Edge-by-edge validator sweep; only called on certified hosts.  Each
     edge is sampled just before its suites, so a sampling timeout keeps
-    the earlier edges' tallies and names its own edge."""
+    the earlier edges' tallies and names its own edge.  A sample that
+    repeats an earlier coloring of its edge replays that coloring's
+    tallies and witnesses instead of running the suites again."""
     per_edge: dict[tuple[int, int], list] = {}
     for e in g.edges:
         x, y = e
@@ -272,8 +274,20 @@ def _critical_suites(
             )
         except oracle.OracleTimeout as exc:
             raise oracle.OracleTimeout(f"sampling edge {e}: {exc}") from exc
+        seen: dict[tuple[int, ...], tuple[list, list[dict]]] = {}
         for c in per_edge[e]:
-            _coloring_suites(g6, e, c, tallies, witnesses)
+            key = tuple(color for _, color in c.edge_items())
+            if key not in seen:
+                once = {suite: _new_tally(suite) for suite in SUITES}
+                found: list[dict] = []
+                _coloring_suites(g6, e, c, once, found)
+                counts = [(s, f, n) for s, t in once.items() for f, n in t.items() if n]
+                seen[key] = counts, found
+            counts, found = seen[key]
+            for suite, field, n in counts:
+                tallies[suite][field] += n
+            for w in found:
+                witnesses.append(_witness(g6, e, c, w["lemma"], w["detail"]))
     for a in range(g.n):
         verdict = fans.check_degree_dichotomy(g, a, colorings=per_edge)
         if _tally(tallies, "degree-dichotomy", verdict.status):
@@ -446,12 +460,18 @@ def run_census(
         raise ValueError(f"timeout must be positive, got {config.timeout_ms}")
     lines = _corpus_lines(corpus)
     corpus_hash = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    workers = _worker_count(len(lines))
+    # A record depends only on the graph and the config, so each distinct
+    # graph is examined once and its result stands for every line of it.
+    keys = [to_graph6(parse_graph6(line)) for line in lines]
+    distinct = list(dict.fromkeys(keys))
+    workers = _worker_count(len(distinct))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(partial(examine_graph, config=config), lines))
+            examined = list(pool.map(partial(examine_graph, config=config), distinct))
     else:
-        results = [examine_graph(line, config) for line in lines]
+        examined = [examine_graph(g6, config) for g6 in distinct]
+    by_key = dict(zip(distinct, examined))
+    results = [by_key[key] for key in keys]
     results.sort(key=lambda ex: ex.record["graph6"])
     records = [ex.record for ex in results]
     witnesses = [w for ex in results for w in ex.witnesses]

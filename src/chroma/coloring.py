@@ -146,7 +146,9 @@ class ScriptOutcome:
 class PartialEdgeColoring:
     """A proper partial edge coloring with exact present/missing tracking."""
 
-    __slots__ = ("_graph", "_k", "_full", "_hole", "_colors", "_present", "_slot")
+    __slots__ = (
+        "_graph", "_k", "_full", "_hole", "_colors", "_count", "_present", "_slot"
+    )
 
     def __init__(self, graph: Graph, k: int, hole: tuple[int, int] | None = None):
         if k < 1:
@@ -162,6 +164,7 @@ class PartialEdgeColoring:
         self._full = ((1 << k) - 1) << 1
         self._hole = hole
         self._colors = [0] * graph.m
+        self._count = 0
         self._present = [0] * graph.n
         self._slot = [[-1] * (k + 1) for _ in range(graph.n)]
 
@@ -202,7 +205,7 @@ class PartialEdgeColoring:
 
     @property
     def colored_count(self) -> int:
-        return sum(1 for c in self._colors if c)
+        return self._count
 
     def uncolored_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -217,7 +220,7 @@ class PartialEdgeColoring:
     def is_complete(self) -> bool:
         """True when every edge except the designated hole is colored."""
         expect = self._graph.m - (1 if self._hole is not None else 0)
-        return self.colored_count == expect
+        return self._count == expect
 
     # -- construction and mutation (private) -----------------------------
 
@@ -228,6 +231,7 @@ class PartialEdgeColoring:
         other._full = self._full
         other._hole = self._hole
         other._colors = self._colors[:]
+        other._count = self._count
         other._present = self._present[:]
         other._slot = [row[:] for row in self._slot]
         return other
@@ -242,6 +246,7 @@ class PartialEdgeColoring:
         if self._present[u] & bit or self._present[v] & bit:
             raise ValueError(f"color {color} already present at an endpoint of ({u}, {v})")
         self._colors[i] = color
+        self._count += 1
         self._present[u] |= bit
         self._present[v] |= bit
         self._slot[u][color] = v
@@ -254,6 +259,7 @@ class PartialEdgeColoring:
             raise ValueError(f"edge ({u}, {v}) is not colored")
         bit = 1 << color
         self._colors[i] = 0
+        self._count -= 1
         self._present[u] &= ~bit
         self._present[v] &= ~bit
         self._slot[u][color] = -1
@@ -283,9 +289,11 @@ class PartialEdgeColoring:
         """Independently rescan the assignment; return a list of problems."""
         problems = []
         seen = [0] * self._graph.n
+        count = 0
         for (u, v), c in zip(self._graph.edges, self._colors):
             if c == 0:
                 continue
+            count += 1
             if not 1 <= c <= self._k:
                 problems.append(f"edge ({u}, {v}) has color {c} outside 1..{self._k}")
                 continue
@@ -299,6 +307,8 @@ class PartialEdgeColoring:
         for v in range(self._graph.n):
             if seen[v] != self._present[v]:
                 problems.append(f"present mask drift at vertex {v}")
+        if count != self._count:
+            problems.append(f"colored edge count drift: {self._count} kept, {count} found")
         if self._hole is not None and self._colors[self._graph.edge_index(*self._hole)]:
             problems.append(f"designated uncolored edge {self._hole} is colored")
         return problems

@@ -82,16 +82,20 @@ def _partners(
     return out
 
 
-def _embeddings(c: PartialEdgeColoring, rows: tuple) -> list[tuple[int, ...]]:
+def _embeddings(
+    c: PartialEdgeColoring, rows: tuple, ascending: tuple[int, int] = (-1, -1)
+) -> list[tuple[int, ...]]:
     """Every tuple of distinct vertices that fills ``rows``, in growth order.
 
     Rows are ``(p, q, via)`` in role indices: edge pq carries a color
     missed at one of the ``via`` roles.  Row 0 is the uncolored edge, in
     both orientations; a later row grows a new ``q`` from ``p`` or, when
-    ``q`` is already placed, requires that edge.
+    ``q`` is already placed, requires that edge.  With ``ascending = (i,
+    j)``, role ``j`` is placed only above role ``i``'s vertex.
     """
     hole = _require_single_hole(c)
     out: list[tuple[int, ...]] = []
+    low, high = ascending
 
     def fill(i: int, placed: list[int]) -> None:
         if i == len(rows):
@@ -106,6 +110,8 @@ def _embeddings(c: PartialEdgeColoring, rows: tuple) -> list[tuple[int, ...]]:
                 fill(i + 1, placed)
             return
         for w in _partners(c, placed[p], mask, placed):
+            if q == high and w < placed[low]:
+                continue
             placed.append(w)
             fill(i + 1, placed)
             placed.pop()
@@ -542,8 +548,9 @@ def check_degree_dichotomy(
 
 # Each shape's edges as (p, q, via): the color of edge pq must be missed
 # at one of the ``via`` roles, and the uncolored edge ab has no ``via``.
-# The fork's cross condition (s1t1's color missed at t2, s2t2's at t1)
-# is not a per-edge rule and lives in :func:`_fork_crosses` below.
+# The fork's two rules beyond its rows (branches in increasing order, and
+# the cross condition) live in :data:`_FORK_ASCENDING` and
+# :func:`_fork_crosses` below.
 _SHAPES = {
     "fork": (
         ("a", "b", ()),
@@ -587,13 +594,17 @@ _SHAPE_ROWS = {
 }
 
 
+# The fork's branches come in increasing order, s1 < s2.  The finder
+# rejects a smaller s2 as soon as it is placed, before growing its tips.
+_FORK_ASCENDING = (_ROLE_NAMES["fork"].index("s1"), _ROLE_NAMES["fork"].index("s2"))
+
+
 def _fork_crosses(c: PartialEdgeColoring, fork: tuple[int, ...]) -> bool:
-    """The fork's rules beyond its rows: the branches come in increasing
-    order, and each tip misses the other branch's tip-edge color."""
+    """The fork's cross condition: each tip misses the other branch's
+    tip-edge color."""
     s1, s2, t1, t2 = fork[3:]
     return bool(
-        s1 < s2
-        and c.missing_mask(t2) >> c.color(s1, t1) & 1
+        c.missing_mask(t2) >> c.color(s1, t1) & 1
         and c.missing_mask(t1) >> c.color(s2, t2) & 1
     )
 
@@ -628,9 +639,11 @@ def find_forklike(c: PartialEdgeColoring, kind: str) -> list[ForkLike]:
     """
     if kind not in _SHAPES:
         raise ValueError(f"unknown kind {kind!r}")
-    found = _embeddings(c, _SHAPE_ROWS[kind])
     if kind == "fork":
+        found = _embeddings(c, _SHAPE_ROWS[kind], _FORK_ASCENDING)
         found = [f for f in found if _fork_crosses(c, f)]
+    else:
+        found = _embeddings(c, _SHAPE_ROWS[kind])
     return [ForkLike(kind, tuple(zip(_ROLE_NAMES[kind], f))) for f in found]
 
 

@@ -10,12 +10,14 @@ import pytest
 
 import chroma.census
 import chroma.fans
+import chroma.graph
 import chroma.oracle
 from chroma import (
     CensusConfig,
     Verdict,
     VIOLATION,
     examine_graph,
+    families,
     run_census,
 )
 
@@ -176,6 +178,39 @@ def test_run_census_keeps_duplicate_lines():
     assert [r["graph6"] for r in report.records] == ["Bw", "Bw"]
 
 
+def test_run_census_examines_each_distinct_graph_once(monkeypatch):
+    calls = []
+    real = chroma.census.examine_graph
+
+    def counting(line, config):
+        calls.append(line)
+        return real(line, config)
+
+    monkeypatch.setattr(chroma.census, "examine_graph", counting)
+    config = CensusConfig(seed=0, samples=3)
+    # "Bx" is the triangle "Bw" with a padding bit set.
+    report = run_census("Dhc\nBw\nBx\nDhc\n", config)
+    assert calls == ["Dhc", "Bw"]
+    assert [r["graph6"] for r in report.records] == ["Bw", "Bw", "Dhc", "Dhc"]
+    assert report.summary["graphs"] == 4
+    alone = {
+        g6: json.dumps(
+            {k: v for k, v in examine_graph(g6, config).record.items() if k != "timings"},
+            separators=(",", ":"),
+        )
+        for g6 in ("Bw", "Dhc")
+    }
+    lines = report.to_json_lines(include_timings=False).splitlines()
+    assert lines[:4] == [alone["Bw"], alone["Bw"], alone["Dhc"], alone["Dhc"]]
+    # A pool examines the two distinct graphs and gives the same bytes.
+    monkeypatch.setenv("CHROMA_THREADS", "2")
+    monkeypatch.setattr(chroma.census, "examine_graph", real)
+    pooled = run_census("Dhc\nBw\nBx\nDhc\n", config)
+    assert pooled.to_json_lines(include_timings=False) == report.to_json_lines(
+        include_timings=False
+    )
+
+
 def test_run_census_config_validation():
     with pytest.raises(ValueError, match="at least one sample"):
         run_census("Bw\n", CensusConfig(samples=0))
@@ -274,3 +309,88 @@ def test_witness_files_on_violation(tmp_path, monkeypatch):
     assert blob["graph6"] == "Dhc"
     assert blob["coloring"] is None
     assert blob["detail"] == "forced for the witness test"
+
+
+# -- each distinct (edge, coloring) is validated once ------------------------
+
+# The suites run by ``_coloring_suites``; the others are tallied elsewhere.
+_COLORING_SUITES = (
+    "multifan", "fan-linkage", "kierstead4", "kierstead5", "fork", "short-kite", "kite",
+)
+
+
+def _reference_samples(g6: str, config: CensusConfig):
+    """Every sample the census draws, per edge, in census order."""
+    g = chroma.graph.parse_graph6(g6)
+    for e in g.edges:
+        seed = chroma.census._edge_seed(config.seed, g6, e)
+        for c in chroma.oracle.sample_colorings(
+            g, e, config.samples, seed, timeout_ms=config.timeout_ms
+        ):
+            yield e, c
+
+
+def test_coloring_suites_run_once_per_distinct_coloring(monkeypatch):
+    calls = []
+    real = chroma.census._coloring_suites
+
+    def counting(g6, e, c, tallies, witnesses):
+        calls.append((e, tuple(color for _, color in c.edge_items())))
+        return real(g6, e, c, tallies, witnesses)
+
+    monkeypatch.setattr(chroma.census, "_coloring_suites", counting)
+    rec = examine_graph("Dhc", _SMALL).record
+    # C5 minus an edge is a path with exactly two 2-colorings, and seed 0
+    # draws both on every edge: 10 suite runs stand for 25 samples.
+    assert len(calls) == len(set(calls)) == 10
+    assert rec["lemmas"]["fork"]["checked"] == 25
+    assert rec["lemmas"]["multifan"]["checked"] == 50
+
+
+def test_replayed_samples_keep_their_witnesses(monkeypatch):
+    def always_wrong(c):
+        return Verdict(VIOLATION, "forced for the replay test")
+
+    monkeypatch.setattr(chroma.fans, "check_fork_exclusion", always_wrong)
+    report = run_census("Dhc\n", _SMALL)
+    assert report.records[0]["lemmas"]["fork"] == {
+        "checked": 25, "ok": 0, "inapplicable": 0, "violations": 25
+    }
+    assert report.summary["violations"] == 25
+    expected = [
+        {
+            "graph6": "Dhc",
+            "edge": list(e),
+            "coloring": c.to_json_obj(),
+            "lemma": "fork",
+            "detail": "forced for the replay test",
+        }
+        for e, c in _reference_samples("Dhc", _SMALL)
+    ]
+    assert len(expected) == 25
+    assert report.witnesses == expected
+
+
+@pytest.mark.parametrize(
+    "g",
+    [families.petersen_minus_vertex(), families.subdivided_complete(4)],
+    ids=["petersen-minus-v", "subdivided-K4"],
+)
+def test_memoised_tallies_match_per_sample_reference(g):
+    g6 = chroma.graph.to_graph6(g)
+    config = CensusConfig(seed=0, samples=20)
+    rec = examine_graph(g6, config).record
+    assert rec["is_critical"] is True
+    tallies = {suite: chroma.census._new_tally(suite) for suite in chroma.census.SUITES}
+    witnesses: list[dict] = []
+    distinct = set()
+    samples = 0
+    for e, c in _reference_samples(g6, config):
+        chroma.census._coloring_suites(g6, e, c, tallies, witnesses)
+        distinct.add((e, tuple(color for _, color in c.edge_items())))
+        samples += 1
+    assert len(distinct) < samples == 20 * g.m
+    assert witnesses == []
+    assert {s: rec["lemmas"][s] for s in _COLORING_SUITES} == {
+        s: tallies[s] for s in _COLORING_SUITES
+    }

@@ -330,6 +330,45 @@ def test_check_proper_detects_drift():
     problems = c.check_proper()
     assert any("repeated at vertex 2" in p for p in problems)
     assert any("drift" in p for p in problems)
+    assert not any("count drift" in p for p in problems)
+    c = _p4()
+    c._count += 1
+    assert c.check_proper() == ["colored edge count drift: 4 kept, 3 found"]
+    assert not c.is_complete
+
+
+def _rescanned_count(c: PartialEdgeColoring) -> int:
+    return sum(1 for _, color in c.edge_items() if color)
+
+
+def test_colored_count_follows_every_mutation():
+    c = _p4()
+    results = [c, c.copy()]
+    results.append(c.swap(c.kempe_chain(0, 1, 2)))
+    results.append(c.swap_subchain(0, 3, 1, 2))
+    shell = PartialEdgeColoring.from_assignment(_P4, 3, {(0, 1): 1}, hole=(2, 3))
+    assert (shell.colored_count, shell.is_complete) == (1, False)
+    script = SwapScript(
+        (
+            ColorEdge((1, 2), 2),
+            ChainSwap(0, (1, 2)),
+            RecolorEdge((0, 1), old=2, new=3),
+        )
+    )
+    done = shell.apply_script(script).coloring
+    assert (done.colored_count, done.is_complete) == (2, True)
+    results += [shell, done]
+    g = families.petersen_minus_vertex()
+    for sample in oracle.sample_colorings(g, g.edges[0], 3, seed=1):
+        results.append(sample)
+        x = g.edges[0][0]
+        a = sample.missing(x)[0]
+        b = 1 if a != 1 else 2
+        results.append(sample.swap(sample.kempe_chain(x, a, b)))
+    for c in results:
+        assert c.colored_count == _rescanned_count(c)
+        assert c.check_proper() == []
+    assert results[-1].is_complete
 
 
 def test_randomized_swap_mechanics_small():
