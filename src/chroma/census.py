@@ -210,21 +210,21 @@ def _edge_seed(seed: int, g6: str, e: tuple[int, int]) -> int:
 
 
 def _coloring_suites(
-    g6: str,
     e: tuple[int, int],
     c,
     tallies: dict,
-    witnesses: list[dict],
+    found: list[tuple[str, str]],
 ) -> None:
-    """All per-coloring validators on one sampled coloring of g minus e."""
+    """All per-coloring validators on one sampled coloring of g minus e;
+    each check that must leave a witness adds its (lemma, detail)."""
     for center in e:
         fan = fans.grow_multifan(c, center)
         verdict = fans.validate_multifan(c, fan)
         if _tally(tallies, "multifan", verdict.status):
-            witnesses.append(_witness(g6, e, c, "multifan", verdict.detail))
+            found.append(("multifan", verdict.detail))
         linkage = fans.validate_fan_linkage(c, fan)
         if _tally(tallies, "fan-linkage", linkage.status):
-            witnesses.append(_witness(g6, e, c, "fan-linkage", linkage.detail))
+            found.append(("fan-linkage", linkage.detail))
     for suite, size, validate in (
         ("kierstead4", 4, fans.validate_kierstead4),
         ("kierstead5", 5, kpath5.canonicalize_k5_path),
@@ -232,11 +232,10 @@ def _coloring_suites(
         for path in fans.kierstead_paths(c, size):
             verdict = validate(c, path)
             if _tally(tallies, suite, verdict.status):
-                detail = f"path {path.vertices}: {verdict.detail}"
-                witnesses.append(_witness(g6, e, c, suite, detail))
+                found.append((suite, f"path {path.vertices}: {verdict.detail}"))
     verdict = fans.check_fork_exclusion(c)
     if _tally(tallies, "fork", verdict.status):
-        witnesses.append(_witness(g6, e, c, "fork", verdict.detail))
+        found.append(("fork", verdict.detail))
     for kind, validate in (
         ("short-kite", fans.validate_shortkite),
         ("kite", fans.validate_kite),
@@ -244,8 +243,7 @@ def _coloring_suites(
         for embedding in fans.find_forklike(c, kind):
             verdict = validate(c, embedding)
             if _tally(tallies, kind, verdict.status):
-                detail = f"{embedding.role_map}: {verdict.detail}"
-                witnesses.append(_witness(g6, e, c, kind, detail))
+                found.append((kind, f"{embedding.role_map}: {verdict.detail}"))
 
 
 def _critical_suites(
@@ -274,20 +272,20 @@ def _critical_suites(
             )
         except oracle.OracleTimeout as exc:
             raise oracle.OracleTimeout(f"sampling edge {e}: {exc}") from exc
-        seen: dict[tuple[int, ...], tuple[list, list[dict]]] = {}
+        seen: dict[tuple[int, ...], tuple[list, list[tuple[str, str]]]] = {}
         for c in per_edge[e]:
             key = tuple(color for _, color in c.edge_items())
             if key not in seen:
                 once = {suite: _new_tally(suite) for suite in SUITES}
-                found: list[dict] = []
-                _coloring_suites(g6, e, c, once, found)
+                found: list[tuple[str, str]] = []
+                _coloring_suites(e, c, once, found)
                 counts = [(s, f, n) for s, t in once.items() for f, n in t.items() if n]
                 seen[key] = counts, found
             counts, found = seen[key]
             for suite, field, n in counts:
                 tallies[suite][field] += n
-            for w in found:
-                witnesses.append(_witness(g6, e, c, w["lemma"], w["detail"]))
+            for lemma, detail in found:
+                witnesses.append(_witness(g6, e, c, lemma, detail))
     for a in range(g.n):
         verdict = fans.check_degree_dichotomy(g, a, colorings=per_edge)
         if _tally(tallies, "degree-dichotomy", verdict.status):

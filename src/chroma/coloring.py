@@ -147,7 +147,8 @@ class PartialEdgeColoring:
     """A proper partial edge coloring with exact present/missing tracking."""
 
     __slots__ = (
-        "_graph", "_k", "_full", "_hole", "_colors", "_count", "_present", "_slot"
+        "_graph", "_k", "_full", "_hole", "_hole_at", "_colors", "_count", "_present",
+        "_slot",
     )
 
     def __init__(self, graph: Graph, k: int, hole: tuple[int, int] | None = None):
@@ -163,6 +164,7 @@ class PartialEdgeColoring:
         self._k = k
         self._full = ((1 << k) - 1) << 1
         self._hole = hole
+        self._hole_at = None if hole is None else graph.edge_index(*hole)
         self._colors = [0] * graph.m
         self._count = 0
         self._present = [0] * graph.n
@@ -219,8 +221,9 @@ class PartialEdgeColoring:
     @property
     def is_complete(self) -> bool:
         """True when every edge except the designated hole is colored."""
-        expect = self._graph.m - (1 if self._hole is not None else 0)
-        return self._count == expect
+        if self._hole_at is None:
+            return self._count == self._graph.m
+        return self._count == self._graph.m - 1 and not self._colors[self._hole_at]
 
     # -- construction and mutation (private) -----------------------------
 
@@ -230,6 +233,7 @@ class PartialEdgeColoring:
         other._k = self._k
         other._full = self._full
         other._hole = self._hole
+        other._hole_at = self._hole_at
         other._colors = self._colors[:]
         other._count = self._count
         other._present = self._present[:]
@@ -309,7 +313,7 @@ class PartialEdgeColoring:
                 problems.append(f"present mask drift at vertex {v}")
         if count != self._count:
             problems.append(f"colored edge count drift: {self._count} kept, {count} found")
-        if self._hole is not None and self._colors[self._graph.edge_index(*self._hole)]:
+        if self._hole_at is not None and self._colors[self._hole_at]:
             problems.append(f"designated uncolored edge {self._hole} is colored")
         return problems
 

@@ -8,11 +8,17 @@ StructuralError means the input is not the claimed object at all, a
 conclusion fails, and ``inapplicable`` means the conclusion's hypotheses
 are unmet.  On hosts whose uncolored edge is critical the violations are
 the interesting output: each one would falsify a known invariant.
+
+Every shape is a table of rows ``(p, q, via)`` over its roles: edge pq
+carries a color missed at one of the ``via`` roles, and row 0 is the
+uncolored edge.  One finder (:func:`_embeddings`), one checker
+(:func:`_unmet_row`) and one greedy grower (:func:`_grow`) read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Container
 
 from .coloring import PartialEdgeColoring
@@ -121,6 +127,75 @@ def _embeddings(
     return out
 
 
+def _unmet_row(
+    c: PartialEdgeColoring, rows: tuple, placed: tuple[int, ...], name: str
+) -> int | None:
+    """Index of the first row whose color condition ``placed`` leaves
+    unmet, or None when every row holds.
+
+    ``placed[r]`` is role r's vertex, and row 0 joins roles 0 and 1, as
+    in :func:`_embeddings`.  Raises StructuralError when ``placed`` is
+    not the shape's skeleton: a repeated vertex, a row 0 other than the
+    uncolored edge, or an edge missing from the graph.  Every later edge
+    is then colored, as no later row joins roles 0 and 1.
+    """
+    hole = _require_single_hole(c)
+    if len(set(placed)) != len(placed):
+        raise StructuralError(f"{name} vertices must be distinct")
+    e = _normalize_edge(placed[0], placed[1])
+    if e != hole:
+        raise StructuralError(
+            f"{name} must start with the uncolored edge {hole}, "
+            f"but its first {name} edge is {e}"
+        )
+    unmet = None
+    for i in range(1, len(rows)):
+        p, q, via = rows[i]
+        u, v = placed[p], placed[q]
+        try:
+            color = c.color(u, v)
+        except KeyError:
+            raise StructuralError(f"{name} edge ({u}, {v}) not in graph") from None
+        if unmet is None:
+            for r in via:
+                if c.missing_mask(placed[r]) >> color & 1:
+                    break
+            else:
+                unmet = i
+    return unmet
+
+
+def _check_rows(
+    c: PartialEdgeColoring, rows: tuple, placed: tuple[int, ...], name: str
+) -> None:
+    """:func:`_unmet_row` for a shape that every row defines: an unmet
+    row means ``placed`` is not the shape at all."""
+    i = _unmet_row(c, rows, placed, name)
+    if i is not None:
+        p, q, via = rows[i]
+        u, v = placed[p], placed[q]
+        earlier = ", ".join(str(placed[r]) for r in via)
+        raise StructuralError(
+            f"color {c.color(u, v)} of {name} edge ({u}, {v}) is not missed "
+            f"earlier in the {name}, by any of vertices {earlier}"
+        )
+
+
+def _grow(c: PartialEdgeColoring, placed: list[int], rows: tuple) -> list[int]:
+    """Fill the rows after ``placed`` greedily, each with the smallest
+    (color, vertex) step, until a row has no step or none is left.  Each
+    remaining row grows a new role from an earlier one."""
+    for p, _, via in rows[len(placed) - 1:]:
+        mask = 0
+        for r in via:
+            mask |= c.missing_mask(placed[r])
+        step = _partners(c, placed[p], mask, placed)
+        if not step:
+            break
+        placed.append(step[0])
+    return placed
+
+
 # ---------------------------------------------------------------------------
 # Multifans
 # ---------------------------------------------------------------------------
@@ -147,6 +222,14 @@ class Multifan:
         return tuple(_normalize_edge(x, y) for y in self.spokes)
 
 
+@cache
+def _multifan_rows(vertices: int) -> tuple:
+    """A multifan as rows for :func:`_unmet_row`: role 0 is the center,
+    role i is spoke yi, and each spoke edge after the hole carries a color
+    missed at an earlier spoke."""
+    return tuple((0, i, tuple(range(1, i))) for i in range(1, vertices))
+
+
 def grow_multifan(c: PartialEdgeColoring, center: int | None = None) -> Multifan:
     """Grow a maximal multifan at one endpoint of the uncolored edge.
 
@@ -159,41 +242,16 @@ def grow_multifan(c: PartialEdgeColoring, center: int | None = None) -> Multifan
         center = hole[0]
     if center not in hole:
         raise StructuralError(f"center {center} must be an endpoint of {hole}")
-    x = center
-    y1 = hole[1] if hole[0] == x else hole[0]
-    spokes = [y1]
-    missed = c.missing_mask(y1)
-    while True:
-        step = _partners(c, x, missed, spokes)
-        if not step:
-            return Multifan(x, tuple(spokes))
-        spokes.append(step[0])
-        missed |= c.missing_mask(step[0])
+    y1 = hole[1] if hole[0] == center else hole[0]
+    rows = _multifan_rows(c.graph.degree(center) + 1)
+    x, *spokes = _grow(c, [center, y1], rows)
+    return Multifan(x, tuple(spokes))
 
 
 def _check_multifan_structure(c: PartialEdgeColoring, f: Multifan) -> None:
-    hole = _require_single_hole(c)
-    x = f.center
     if not f.spokes:
         raise StructuralError("multifan needs at least one spoke")
-    verts = f.vertices
-    if len(set(verts)) != len(verts):
-        raise StructuralError("multifan vertices must be distinct")
-    e1 = _normalize_edge(x, f.spokes[0])
-    if e1 != hole:
-        raise StructuralError(f"first fan edge {e1} is not the uncolored edge {hole}")
-    missed = c.missing_mask(f.spokes[0])
-    for y in f.spokes[1:]:
-        if not c.graph.has_edge(x, y):
-            raise StructuralError(f"fan edge ({x}, {y}) not in graph")
-        color = c.color(x, y)
-        if color == 0:
-            raise StructuralError(f"fan edge ({x}, {y}) is uncolored")
-        if not missed >> color & 1:
-            raise StructuralError(
-                f"color {color} of fan edge ({x}, {y}) is not missed earlier in the fan"
-            )
-        missed |= c.missing_mask(y)
+    _check_rows(c, _multifan_rows(len(f.vertices)), f.vertices, "fan")
 
 
 def validate_multifan(c: PartialEdgeColoring, f: Multifan) -> Verdict:
@@ -295,12 +353,7 @@ def _decompose(c: PartialEdgeColoring, f: Multifan) -> AlphaSequenceDecompositio
     seed_of_vertex: dict[int, int] = {}
     for y in f.spokes[1:]:
         spoke_color = c.color(x, y)
-        holder = vertex_of_color.get(spoke_color)
-        if holder is None:
-            raise StructuralError(
-                f"spoke color {spoke_color} at ({x}, {y}) missed by no fan vertex"
-            )
-        parent[y] = holder
+        holder = parent[y] = vertex_of_color[spoke_color]
         seed_of_vertex[y] = spoke_color if holder == y1 else seed_of_vertex[holder]
     induced_by: dict[int, int] = {}
     for color in c.missing(y1):
@@ -380,36 +433,20 @@ class KiersteadPath:
         return tuple(_normalize_edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
 
 
+@cache
+def _kierstead_rows(vertices: int) -> tuple:
+    """A Kierstead path as rows for :func:`_unmet_row`: each edge after
+    the hole carries a color missed at a vertex at least two positions
+    back."""
+    return tuple((i - 1, i, tuple(range(i - 1))) for i in range(1, vertices))
+
+
 def _check_kierstead_structure(
     c: PartialEdgeColoring, vertices: tuple[int, ...]
 ) -> None:
-    hole = _require_single_hole(c)
     if len(vertices) < 2:
         raise StructuralError("a Kierstead path needs at least the uncolored edge")
-    if len(set(vertices)) != len(vertices):
-        raise StructuralError("Kierstead path vertices must be distinct")
-    v0 = vertices[0]
-    if _normalize_edge(v0, vertices[1]) != hole:
-        raise StructuralError(f"path must start with the uncolored edge {hole}")
-    missed = c.missing_mask(v0)
-    for i in range(2, len(vertices)):
-        u, v = vertices[i - 1], vertices[i]
-        if not c.graph.has_edge(u, v):
-            raise StructuralError(f"path edge ({u}, {v}) not in graph")
-        color = c.color(u, v)
-        if color == 0:
-            raise StructuralError(f"path edge ({u}, {v}) is uncolored")
-        missed |= c.missing_mask(vertices[i - 2])
-        if not missed >> color & 1:
-            raise StructuralError(
-                f"color {color} of path edge ({u}, {v}) is not missed by any "
-                f"vertex at least two steps back"
-            )
-
-
-# The Kierstead path as rows for :func:`_embeddings`: each edge after the
-# hole carries a color missed by a vertex at least two positions back.
-_KIERSTEAD_ROWS = ((0, 1, ()), (1, 2, (0,)), (2, 3, (0, 1)), (3, 4, (0, 1, 2)))
+    _check_rows(c, _kierstead_rows(len(vertices)), vertices, "path")
 
 
 def kierstead_paths(c: PartialEdgeColoring, vertices: int) -> list[KiersteadPath]:
@@ -417,7 +454,7 @@ def kierstead_paths(c: PartialEdgeColoring, vertices: int) -> list[KiersteadPath
     orientations of the uncolored edge, in lexicographic growth order."""
     if not 2 <= vertices <= 5:
         raise ValueError("supported path sizes are 2..5 vertices")
-    return [KiersteadPath(p) for p in _embeddings(c, _KIERSTEAD_ROWS[:vertices - 1])]
+    return [KiersteadPath(p) for p in _embeddings(c, _kierstead_rows(vertices))]
 
 
 def grow_kierstead(
@@ -428,17 +465,9 @@ def grow_kierstead(
     At each step the smallest (color, vertex) continuation wins, mirroring
     the fan growth rule.  The seed itself is validated first.
     """
-    vertices = list(seed.vertices if isinstance(seed, KiersteadPath) else seed)
-    _check_kierstead_structure(c, tuple(vertices))
-    while len(vertices) < 5:
-        allowed = 0
-        for v in vertices[:-1]:
-            allowed |= c.missing_mask(v)
-        step = _partners(c, vertices[-1], allowed, vertices)
-        if not step:
-            break
-        vertices.append(step[0])
-    return KiersteadPath(tuple(vertices))
+    vertices = tuple(seed.vertices if isinstance(seed, KiersteadPath) else seed)
+    _check_kierstead_structure(c, vertices)
+    return KiersteadPath(tuple(_grow(c, list(vertices), _kierstead_rows(5))))
 
 
 def validate_kierstead4(c: PartialEdgeColoring, k: KiersteadPath) -> Verdict:
@@ -584,7 +613,8 @@ _ROLE_NAMES = {
     kind: tuple(dict.fromkeys(name for p, q, _ in edges for name in (p, q)))
     for kind, edges in _SHAPES.items()
 }
-# The same tables in role indices, as :func:`_embeddings` reads them.
+# The same tables in role indices, as :func:`_embeddings` and
+# :func:`_unmet_row` read them.
 _SHAPE_ROWS = {
     kind: tuple(
         (names.index(p), names.index(q), tuple(names.index(r) for r in via))
@@ -647,41 +677,23 @@ def find_forklike(c: PartialEdgeColoring, kind: str) -> list[ForkLike]:
     return [ForkLike(kind, tuple(zip(_ROLE_NAMES[kind], f))) for f in found]
 
 
-def _check_forklike_shape(c: PartialEdgeColoring, fl: ForkLike, kind: str) -> None:
+def _forklike_failure(c: PartialEdgeColoring, fl: ForkLike, kind: str) -> str | None:
+    """The first row, in table order, whose color is missed at none of
+    its ``via`` roles, or None when every shape condition holds.  Raises
+    StructuralError when ``fl`` is not a ``kind`` skeleton."""
     if fl.kind != kind:
         raise StructuralError(f"expected a {kind}, got {fl.kind}")
-    hole = _require_single_hole(c)
+    names = _ROLE_NAMES[kind]
     m = fl.role_map
-    verts = [v for _, v in fl.roles]
-    if len(set(verts)) != len(verts):
-        raise StructuralError(f"{kind} vertices must be distinct")
-    if set(m) != set(_ROLE_NAMES[kind]):
+    if len(fl.roles) != len(names) or set(m) != set(names):
         raise StructuralError(f"{kind} has the wrong role names")
-    for p, q, via in _SHAPES[kind]:
-        e = _normalize_edge(m[p], m[q])
-        if not via and e != hole:
-            raise StructuralError(f"{kind} edge {p}{q}={e} is not the uncolored edge")
-        if not c.graph.has_edge(*e):
-            raise StructuralError(f"{kind} edge {e} not in graph")
-        if via and c.color(*e) == 0:
-            raise StructuralError(f"{kind} edge {e} is uncolored")
-
-
-def _forklike_precondition_failure(c: PartialEdgeColoring, fl: ForkLike) -> str | None:
-    """First edge, in table order, whose color is missed at none of its
-    ``via`` roles, or None when every shape condition holds."""
-    m = fl.role_map
-    for p, q, via in _SHAPES[fl.kind]:
-        if not via:
-            continue
-        missed = 0
-        for name in via:
-            missed |= c.missing_mask(m[name])
-        if not missed >> c.color(m[p], m[q]) & 1:
-            if len(via) > 2:
-                via = (", ".join(via[:-1]) + ",", via[-1])
-            return f"{p}{q} color missed at {' or '.join(via)} fails"
-    return None
+    i = _unmet_row(c, _SHAPE_ROWS[kind], tuple(m[name] for name in names), kind)
+    if i is None:
+        return None
+    p, q, via = _SHAPES[kind][i]
+    if len(via) > 2:
+        via = (", ".join(via[:-1]) + ",", via[-1])
+    return f"{p}{q} color missed at {' or '.join(via)} fails"
 
 
 def check_fork_exclusion(c: PartialEdgeColoring) -> Verdict:
@@ -703,8 +715,7 @@ def check_fork_exclusion(c: PartialEdgeColoring) -> Verdict:
 def validate_shortkite(c: PartialEdgeColoring, sk: ForkLike) -> Verdict:
     """Both outer vertices sharing a missing color with the hole's
     endpoints forces one of them to have maximum degree."""
-    _check_forklike_shape(c, sk, "short-kite")
-    failure = _forklike_precondition_failure(c, sk)
+    failure = _forklike_failure(c, sk, "short-kite")
     if failure is not None:
         return Verdict(INAPPLICABLE, failure)
     g = c.graph
@@ -726,8 +737,7 @@ def validate_shortkite(c: PartialEdgeColoring, sk: ForkLike) -> Verdict:
 def validate_kite(c: PartialEdgeColoring, kt: ForkLike) -> Verdict:
     """With equal tip-edge colors, the tips share at most four missing
     colors with the hole's endpoints."""
-    _check_forklike_shape(c, kt, "kite")
-    failure = _forklike_precondition_failure(c, kt)
+    failure = _forklike_failure(c, kt, "kite")
     if failure is not None:
         return Verdict(INAPPLICABLE, failure)
     m = kt.role_map

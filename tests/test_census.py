@@ -334,9 +334,9 @@ def test_coloring_suites_run_once_per_distinct_coloring(monkeypatch):
     calls = []
     real = chroma.census._coloring_suites
 
-    def counting(g6, e, c, tallies, witnesses):
+    def counting(e, c, tallies, found):
         calls.append((e, tuple(color for _, color in c.edge_items())))
-        return real(g6, e, c, tallies, witnesses)
+        return real(e, c, tallies, found)
 
     monkeypatch.setattr(chroma.census, "_coloring_suites", counting)
     rec = examine_graph("Dhc", _SMALL).record
@@ -382,15 +382,15 @@ def test_memoised_tallies_match_per_sample_reference(g):
     rec = examine_graph(g6, config).record
     assert rec["is_critical"] is True
     tallies = {suite: chroma.census._new_tally(suite) for suite in chroma.census.SUITES}
-    witnesses: list[dict] = []
+    found: list[tuple[str, str]] = []
     distinct = set()
     samples = 0
     for e, c in _reference_samples(g6, config):
-        chroma.census._coloring_suites(g6, e, c, tallies, witnesses)
+        chroma.census._coloring_suites(e, c, tallies, found)
         distinct.add((e, tuple(color for _, color in c.edge_items())))
         samples += 1
     assert len(distinct) < samples == 20 * g.m
-    assert witnesses == []
+    assert found == []
     assert {s: rec["lemmas"][s] for s in _COLORING_SUITES} == {
         s: tallies[s] for s in _COLORING_SUITES
     }

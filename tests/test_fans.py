@@ -34,9 +34,8 @@ from chroma import (
 )
 from chroma.fans import (
     _SHAPES,
-    _check_forklike_shape,
     _check_kierstead_structure,
-    _forklike_precondition_failure,
+    _forklike_failure,
 )
 
 
@@ -102,6 +101,24 @@ def test_multifan_structural_errors():
     sparse = empty_partial(families.cycle(5), (0, 1), 2)
     with pytest.raises(StructuralError, match="complete apart from its hole"):
         grow_multifan(sparse)
+
+
+def test_colored_hole_is_rejected():
+    # The hole 01 carries color 1 while 23 is uncolored, so the colored
+    # edge count matches a near-coloring but the hole is not uncolored.
+    c = PartialEdgeColoring.from_assignment(
+        families.cycle(5), 2, {(0, 1): 1, (1, 2): 2, (3, 4): 1, (0, 4): 2}, hole=(0, 1)
+    )
+    assert "designated uncolored edge (0, 1) is colored" in c.check_proper()
+    assert not c.is_complete
+    for grow in (
+        grow_multifan,
+        lambda c: grow_kierstead(c, (0, 1)),
+        lambda c: kierstead_paths(c, 2),
+        lambda c: find_forklike(c, "fork"),
+    ):
+        with pytest.raises(StructuralError, match="complete apart from its hole"):
+            grow(c)
 
 
 def test_multifan_rejects_unmissed_spoke_color():
@@ -411,13 +428,153 @@ def test_kite_different_tip_colors_inapplicable():
     assert "different colors" in verdict.detail
 
 
+# -- one table of structural errors across shapes ---------------------------
+#
+# On the tight kite host (see test_finders_agree_with_shape_table) a
+# misses 2, 3, 4 and b misses 1, 3, 4, so the pendant edges 08 and 19
+# (color 5) meet no row; the tight short-kite host plays the same role
+# for short-kites.  The six-vertex path host has a valid five-vertex
+# prefix and a last edge colored 3, which no earlier vertex misses.
+
+
+def _tight_shortkite() -> PartialEdgeColoring:
+    return _host(
+        _SHORTKITE_EDGES + [(0, 6), (1, 7)],
+        {**_SHORTKITE_ASSIGN, (0, 6): 5, (1, 7): 5},
+        k=5,
+    )
+
+
+def _tight_kite() -> PartialEdgeColoring:
+    return _host(
+        _KITE_EDGES + [(0, 8), (1, 9), (0, 10), (1, 11), (2, 12)],
+        {**_KITE_ASSIGN, (0, 8): 5, (1, 9): 5, (0, 10): 6, (1, 11): 6, (2, 12): 6},
+        k=6,
+    )
+
+
+def _six_vertex_path_host() -> PartialEdgeColoring:
+    return _host(
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 6), (0, 7), (1, 8), (2, 9), (3, 10)],
+        {
+            (1, 2): 1, (2, 3): 2, (3, 4): 1, (4, 5): 3,
+            (0, 6): 2, (0, 7): 3, (1, 8): 3, (2, 9): 3, (3, 10): 3,
+        },
+        k=3,
+    )
+
+
+def _fan(center, *spokes):
+    return lambda c: validate_multifan(c, Multifan(center, spokes))
+
+
+def _path(*vertices):
+    return lambda c: grow_kierstead(c, vertices)
+
+
+def _shortkite(kind="short-kite", **roles):
+    return lambda c: validate_shortkite(c, ForkLike(kind, tuple(roles.items())))
+
+
+def _kite(kind="kite", **roles):
+    return lambda c: validate_kite(c, ForkLike(kind, tuple(roles.items())))
+
+
+_KITE_ROLES = {"a": 0, "b": 1, "c": 2, "u": 3, "s1": 4, "s2": 5, "t1": 6, "t2": 7}
+_SHORTKITE_ROLES = {"a": 0, "b": 1, "c": 2, "u": 3, "x": 4, "y": 5}
+
+# (host, check, expected): a StructuralError match, or the exact verdict.
+_STRUCTURE_TABLE = {
+    "fan-repeated-vertex": (_tight_kite, _fan(0, 1, 1), "fan vertices must be distinct"),
+    "fan-row0-not-hole": (_tight_kite, _fan(0, 2, 1), r"first fan edge is \(0, 2\)"),
+    "fan-absent-edge": (_tight_kite, _fan(0, 1, 3), r"fan edge \(0, 3\) not in graph"),
+    "fan-unmet-row": (
+        _tight_kite, _fan(0, 1, 8), r"color 5 of fan edge \(0, 8\) is not missed earlier"
+    ),
+    "path-repeated-vertex": (_tight_kite, _path(0, 1, 0), "path vertices must be distinct"),
+    "path-row0-not-hole": (_tight_kite, _path(1, 3, 2), "path must start with the"),
+    "path-absent-edge": (_tight_kite, _path(0, 1, 2), r"path edge \(1, 2\) not in graph"),
+    "path-unmet-row": (
+        _tight_kite, _path(0, 1, 9), r"color 5 of path edge \(1, 9\) is not missed earlier"
+    ),
+    "path-six-vertices-unmet-last-row": (
+        _six_vertex_path_host,
+        _path(0, 1, 2, 3, 4, 5),
+        r"color 3 of path edge \(4, 5\) is not missed earlier",
+    ),
+    "short-kite-repeated-vertex": (
+        _tight_shortkite, _shortkite(**{**_SHORTKITE_ROLES, "y": 4}), "distinct"
+    ),
+    "short-kite-row0-not-hole": (
+        _tight_shortkite,
+        _shortkite(**{**_SHORTKITE_ROLES, "b": 2, "c": 1}),
+        "short-kite must start with the uncolored edge",
+    ),
+    "short-kite-absent-edge": (
+        _tight_shortkite,
+        _shortkite(**{**_SHORTKITE_ROLES, "c": 4, "x": 2}),
+        r"short-kite edge \(0, 4\) not in graph",
+    ),
+    "short-kite-unmet-row": (
+        _tight_shortkite,
+        _shortkite(**{**_SHORTKITE_ROLES, "x": 5, "y": 4}),
+        Verdict(INAPPLICABLE, "ux color missed at a or b fails"),
+    ),
+    "short-kite-wrong-kind": (
+        _tight_shortkite, _kite("short-kite", **_SHORTKITE_ROLES), "expected a kite"
+    ),
+    "short-kite-wrong-role-names": (
+        _tight_shortkite, _shortkite(**{**_SHORTKITE_ROLES, "z": 6}), "wrong role names"
+    ),
+    "kite-repeated-vertex": (_tight_kite, _kite(**{**_KITE_ROLES, "t1": 7}), "distinct"),
+    "kite-row0-not-hole": (
+        _tight_kite, _kite(**{**_KITE_ROLES, "b": 2, "c": 1}), "kite must start with"
+    ),
+    "kite-absent-edge": (
+        _tight_kite, _kite(**{**_KITE_ROLES, "t1": 8}), r"kite edge \(4, 8\) not in graph"
+    ),
+    "kite-unmet-row": (
+        _tight_kite,
+        _kite(**{**_KITE_ROLES, "s1": 5, "s2": 4, "t1": 7, "t2": 6}),
+        Verdict(INAPPLICABLE, "us1 color missed at a or b fails"),
+    ),
+    "kite-wrong-kind": (
+        _tight_kite, _shortkite("kite", **_KITE_ROLES), "expected a short-kite"
+    ),
+    "kite-wrong-role-names": (
+        _tight_kite,
+        _kite(**{("x" if k == "s1" else k): v for k, v in _KITE_ROLES.items()}),
+        "wrong role names",
+    ),
+    "kite-roles-out-of-order": (
+        _tight_kite, _kite(**dict(reversed(_KITE_ROLES.items()))), Verdict(OK)
+    ),
+    "kite-roles-out-of-order-unmet-row": (
+        _tight_kite,
+        _kite(t2=6, t1=7, s2=4, s1=5, u=3, c=2, b=1, a=0),
+        Verdict(INAPPLICABLE, "us1 color missed at a or b fails"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_STRUCTURE_TABLE))
+def test_structural_errors_across_shapes(case):
+    host, check, expected = _STRUCTURE_TABLE[case]
+    c = host()
+    if isinstance(expected, Verdict):
+        assert check(c) == expected
+    else:
+        with pytest.raises(StructuralError, match=expected):
+            check(c)
+
+
 def _assert_finder_meets_shape(c: PartialEdgeColoring) -> None:
     # The finder grows each shape from the role-index rows derived from
     # the shape table, and the validators read the table by role name;
     # every embedding found must pass the validators' reading too.
     for kind in ("fork", "short-kite", "kite"):
         for fl in find_forklike(c, kind):
-            assert _forklike_precondition_failure(c, fl) is None, (kind, fl)
+            assert _forklike_failure(c, fl, kind) is None, (kind, fl)
 
 
 def test_finders_agree_with_shape_table():
@@ -467,10 +624,9 @@ def _reference_forklike(c: PartialEdgeColoring, kind: str) -> set[ForkLike]:
     for m in partial:
         fl = ForkLike(kind, tuple(m.items()))
         try:
-            _check_forklike_shape(c, fl, kind)
+            if _forklike_failure(c, fl, kind) is not None:
+                continue
         except StructuralError:
-            continue
-        if _forklike_precondition_failure(c, fl) is not None:
             continue
         if kind == "fork" and not (
             m["s1"] < m["s2"]
@@ -499,7 +655,7 @@ def _reference_kierstead(c: PartialEdgeColoring, vertices: int) -> set[Kierstead
     return found
 
 
-def test_finders_miss_nothing():
+def _sampled_hosts() -> list[PartialEdgeColoring]:
     hosts = [
         _host(_FORK_CORE_EDGES, _FORK_CORE_ASSIGN, k=5),
         _host(_SHORTKITE_EDGES, _SHORTKITE_ASSIGN, k=5),
@@ -513,8 +669,12 @@ def test_finders_miss_nothing():
     ):
         for e in g.edges:
             hosts.extend(sample_colorings(g, e, 3, seed=5))
+    return hosts
+
+
+def test_finders_miss_nothing():
     counts = dict.fromkeys(("fork", "short-kite", "kite", 2, 3, 4, 5), 0)
-    for c in hosts:
+    for c in _sampled_hosts():
         for kind in ("fork", "short-kite", "kite"):
             found = find_forklike(c, kind)
             assert len(set(found)) == len(found)
@@ -526,6 +686,55 @@ def test_finders_miss_nothing():
             assert set(paths) == _reference_kierstead(c, size), size
             counts[size] += len(paths)
     assert all(counts.values()), counts
+
+
+def _reference_grow(
+    c: PartialEdgeColoring, vertices: list[int], at: int, accepts, limit: int
+) -> list[int]:
+    """Color-blind greedy growth from ``vertices[at]``: among its unused
+    graph neighbors that ``accepts`` takes, append the one with the
+    smallest (color, vertex) pair, until none is left or ``limit`` is
+    reached."""
+    while len(vertices) < limit:
+        end = vertices[at]
+        steps = [
+            (c.color(end, w), w)
+            for w in c.graph.neighbors(end)
+            if w not in vertices and accepts(c, vertices + [w])
+        ]
+        if not steps:
+            break
+        vertices = vertices + [min(steps)[1]]
+    return vertices
+
+
+def _accepts_fan(c: PartialEdgeColoring, vertices: list[int]) -> bool:
+    try:
+        validate_multifan(c, Multifan(vertices[0], tuple(vertices[1:])))
+    except StructuralError:
+        return False
+    return True
+
+
+def _accepts_path(c: PartialEdgeColoring, vertices: list[int]) -> bool:
+    try:
+        _check_kierstead_structure(c, tuple(vertices))
+    except StructuralError:
+        return False
+    return True
+
+
+def test_growers_match_color_blind_reference():
+    grown = 0
+    for c in _sampled_hosts():
+        a, b = c.hole
+        for x, y in ((a, b), (b, a)):
+            fan = _reference_grow(c, [x, y], 0, _accepts_fan, c.graph.n)
+            assert grow_multifan(c, x) == Multifan(x, tuple(fan[1:]))
+            path = _reference_grow(c, [x, y], -1, _accepts_path, 5)
+            assert grow_kierstead(c, (x, y)) == KiersteadPath(tuple(path))
+            grown += len(fan) + len(path) - 4
+    assert grown
 
 
 def test_find_forklike_rejects_unknown_kind():
