@@ -83,7 +83,7 @@ class CensusConfig:
 
     seed: int = 0
     samples: int = 100
-    timeout_ms: int = 10_000
+    timeout_ms: int = oracle.DEFAULT_TIMEOUT_MS
     witness_dir: str | None = None
 
 

@@ -32,14 +32,9 @@ def _read_text(path: str) -> str:
 def _load_graph(path: str) -> Graph:
     """Parse one graph from a file holding graph6 or an edge list."""
     text = _read_text(path)
-    payload = [
-        line
-        for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-        if line
-    ]
-    if any(" " in line or "\t" in line for line in payload):
-        return parse_edge_list(text)
     lines = list(iter_graph6_lines(text))
+    if any(" " in line or "\t" in line for line in lines):
+        return parse_edge_list(text)
     if len(lines) != 1:
         raise ValueError(f"expected one graph, found {len(lines)} graph6 lines")
     return parse_graph6(lines[0])
@@ -155,13 +150,15 @@ def _add_format(p: argparse.ArgumentParser, default: str | None = "json") -> Non
 
 
 def _add_census_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="run seed for sampling")
+    p.add_argument(
+        "--seed", type=int, default=CensusConfig.seed, help="run seed for sampling"
+    )
     p.add_argument(
         "--samples",
         "--max-samples",
         dest="samples",
         type=int,
-        default=100,
+        default=CensusConfig.samples,
         help="sampled colorings per critical edge",
     )
     _add_timeout(p)

@@ -269,7 +269,10 @@ class _Interpreter:
     def _shifted_path_contradiction(self, gamma: int) -> str:
         """The argument here derives a contradiction: color ab, open bu,
         and the shifted four-vertex path breaks near-elementarity.
-        Reproduce that derivation so the dead-end report is checkable."""
+        Reproduce that derivation so the dead-end report is checkable.
+        Coloring ab with alpha needs the invariant, which the hard us-route
+        need not restore on a host whose hole is not critical."""
+        self._check_invariant()
         a, b, u, s, t = self.a, self.b, self.u, self.s, self.t
         bu = _normalize_edge(b, u)
         assignment = {}

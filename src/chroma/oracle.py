@@ -67,30 +67,25 @@ def _edge_of(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
     return _normalize_edge(u, v)
 
 
-def _deadline(timeout_ms: int | None) -> float | None:
-    if timeout_ms is None:
-        return None
-    if timeout_ms <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout_ms}")
-    return time.monotonic() + timeout_ms / 1000.0
-
-
 def _search(
     g: Graph,
     k: int,
     hole: tuple[int, int] | None,
     preset: dict[tuple[int, int], int] | None,
     rng: random.Random | None,
-    deadline: float | None,
-) -> dict[tuple[int, int], int] | None:
+    timeout_ms: int | None,
+) -> PartialEdgeColoring | None:
     """Find a proper k-edge-coloring of g (minus ``hole``), else None.
 
     ``preset`` pins edge colors before the search.  ``rng`` randomizes the
     branch order.  Only a plain decision (no ``rng``, no ``preset``) breaks
     color symmetry: with a preset the colors are no longer interchangeable,
     and with an rng it would restrict the reachable colorings.  Raises
-    OracleTimeout when the deadline passes.
+    OracleTimeout when ``timeout_ms`` (None for no budget) runs out.
     """
+    if timeout_ms is not None and timeout_ms <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout_ms}")
+    deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
     full = ((1 << k) - 1) << 1
     degs = g.degrees
     avail = [full] * g.n
@@ -194,7 +189,7 @@ def _search(
         return False
 
     if rec(0):
-        return assignment
+        return PartialEdgeColoring.from_assignment(g, k, assignment, hole=hole)
     return None
 
 
@@ -211,10 +206,7 @@ def decide_colorable(
     """
     if hole is not None:
         hole = _edge_of(g, hole)
-    found = _search(g, k, hole, None, None, _deadline(timeout_ms))
-    if found is None:
-        return None
-    return PartialEdgeColoring.from_assignment(g, k, found, hole=hole)
+    return _search(g, k, hole, None, None, timeout_ms)
 
 
 def chromatic_index(
@@ -311,13 +303,12 @@ def sample_colorings(
     delta = g.max_degree
     out = []
     for i in range(count):
-        rng = _sample_rng(seed, i)
-        found = _search(g, delta, hole, None, rng, _deadline(timeout_ms))
+        found = _search(g, delta, hole, None, _sample_rng(seed, i), timeout_ms)
         if found is None:
             raise UncolorableError(
                 f"no max-degree coloring of the graph minus {hole} exists"
             )
-        out.append(PartialEdgeColoring.from_assignment(g, delta, found, hole=hole))
+        out.append(found)
     return out
 
 
@@ -334,12 +325,6 @@ def complete_coloring(
     plain ordered one.  Useful for steering a coloring toward a wanted
     missing-color pattern.
     """
-    g = c.graph
-    preset = {
-        e: c.color(*e) for e in g.edges if c.color(*e) and e != c.hole
-    }
+    preset = {e: color for e, color in c.edge_items() if color and e != c.hole}
     rng = None if seed is None else _sample_rng(seed, 0)
-    found = _search(g, c.k, c.hole, preset, rng, _deadline(timeout_ms))
-    if found is None:
-        return None
-    return PartialEdgeColoring.from_assignment(g, c.k, found, hole=c.hole)
+    return _search(c.graph, c.k, c.hole, preset, rng, timeout_ms)

@@ -173,6 +173,18 @@ def test_run_census_ignores_comments_in_hash():
     assert len(plain.records) == len(commented.records) == 1
 
 
+def test_run_census_accepts_an_iterable_of_lines(tmp_path):
+    config = CensusConfig(seed=0, samples=2)
+    text = run_census("Dhc\nBw\n", config).to_json_lines(include_timings=False)
+    listed = run_census(["# note", ">>graph6<<Dhc", "", "Bw\n"], config)
+    assert listed.to_json_lines(include_timings=False) == text
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("# note\n>>graph6<<Dhc\n\nBw\n")
+    with corpus.open() as lines:
+        from_file = run_census(lines, config)
+    assert from_file.to_json_lines(include_timings=False) == text
+
+
 def test_run_census_keeps_duplicate_lines():
     report = run_census("Bw\nBw\n", CensusConfig(samples=1))
     assert [r["graph6"] for r in report.records] == ["Bw", "Bw"]

@@ -7,6 +7,8 @@ just a changed final status.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from chroma import (
@@ -22,6 +24,7 @@ from chroma import (
     families,
     is_canonical,
     kierstead_paths,
+    parse_graph6,
     sample_colorings,
 )
 
@@ -40,12 +43,12 @@ def _fixture(
     return PartialEdgeColoring.from_assignment(g, k, assign, hole=(0, 1))
 
 
-def _check_attached(result) -> None:
+def _check_attached(result, path: KiersteadPath = _PATH) -> None:
     if result.coloring is not None:
         assert result.coloring.check_proper() == []
     if result.status == CANONICAL:
         assert result.coloring is not None
-        assert is_canonical(result.coloring, _PATH)
+        assert is_canonical(result.coloring, path)
 
 
 _IDENTITY = {
@@ -262,6 +265,76 @@ def test_split_then_normalize_then_route():
     assert any(ln.startswith("bu-normalize:") for ln in res.transcript)
     assert res.transcript[-1] == "us-route: target form reached"
     _check_attached(res)
+
+
+# A greedy 7-coloring of a host whose hole (4, 7) is not critical.
+_HARD_ROUTE_HOST = {
+    "k": 7,
+    "uncolored": [4, 7],
+    "edges": [
+        [0, 1, 3], [0, 3, 1], [0, 5, 6], [0, 6, 2], [1, 2, 4], [1, 4, 2],
+        [1, 6, 1], [2, 4, 6], [2, 7, 1], [2, 8, 3], [3, 5, 5], [3, 6, 3],
+        [3, 7, 4], [3, 8, 2], [4, 5, 3], [4, 6, 5], [4, 7, 0], [4, 8, 1],
+        [5, 6, 4], [5, 8, 7], [6, 7, 7], [6, 8, 6],
+    ],
+}
+
+
+def test_hard_us_route_without_invariant_is_a_dead_end():
+    # The three hard-route swaps leave bu with color 2 while alpha is 7
+    # and a still sees 7, so ab cannot take alpha; the shifted-path
+    # derivation must report that instead of raising.
+    c = PartialEdgeColoring.from_json_obj(parse_graph6("HkY]xs}"), _HARD_ROUTE_HOST)
+    res = canonicalize_k5_path(c, KiersteadPath((4, 7, 6, 0, 1)))
+    assert res.status == VIOLATION
+    assert "rewrite outcome: dead-end (guard failed: bu carries alpha" in res.detail
+    assert res.transcript[0] == "picked alpha=7, beta=5"
+    hard = [ln for ln in res.transcript if ln.startswith("us-route-hard: (")]
+    assert len(hard) == 3
+    assert res.coloring is None
+
+
+def _random_greedy_coloring(rng: random.Random) -> PartialEdgeColoring:
+    """A greedy coloring of G(n, 1/2) minus a random hole, with Delta to
+    Delta + 2 colors; restarts when an edge finds no free color."""
+    while True:
+        n = rng.randint(6, 10)
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
+        ]
+        if not edges:
+            continue
+        g = Graph(n, edges)
+        k = g.max_degree + rng.randint(0, 2)
+        hole = rng.choice(g.edges)
+        rest = [e for e in g.edges if e != hole]
+        rng.shuffle(rest)
+        used = [0] * n
+        assign = {}
+        for u, v in rest:
+            free = [x for x in range(1, k + 1) if not (used[u] | used[v]) >> x & 1]
+            if not free:
+                break
+            color = rng.choice(free)
+            used[u] |= 1 << color
+            used[v] |= 1 << color
+            assign[(u, v)] = color
+        else:
+            return PartialEdgeColoring.from_assignment(g, k, assign, hole=hole)
+
+
+def test_random_greedy_hosts_never_raise():
+    # Hosts whose hole need not be critical: every path gets a status,
+    # whichever branch the interpreter takes.
+    rng = random.Random(1)
+    statuses = set()
+    for _ in range(150):
+        c = _random_greedy_coloring(rng)
+        for path in kierstead_paths(c, 5):
+            res = canonicalize_k5_path(c, path)
+            statuses.add(res.status)
+            _check_attached(res, path)
+    assert statuses == {CANONICAL, INAPPLICABLE, VIOLATION, DEAD_END}
 
 
 def test_sampled_critical_hosts_never_violate():

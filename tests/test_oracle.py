@@ -12,6 +12,7 @@ from chroma import (
     chromatic_index,
     complete_coloring,
     decide_colorable,
+    empty_partial,
     families,
     is_critical_edge,
     is_delta_critical,
@@ -74,8 +75,17 @@ def test_timeout_budget():
         decide_colorable(g, 10, timeout_ms=1)
     # K11 itself is overfull (55 > 50 edges): refuted before any branching.
     assert decide_colorable(families.complete(11), 10, timeout_ms=1) is None
+    k3 = families.complete(3)
     with pytest.raises(ValueError, match="timeout must be positive"):
-        decide_colorable(families.complete(3), 3, timeout_ms=0)
+        decide_colorable(k3, 3, timeout_ms=0)
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        sample_colorings(k3, (0, 1), 1, seed=0, timeout_ms=0)
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        complete_coloring(empty_partial(k3, None, 3), timeout_ms=0)
+    # None means no budget at all.
+    assert decide_colorable(k3, 3, timeout_ms=None) is not None
+    assert len(sample_colorings(k3, (0, 1), 2, seed=0, timeout_ms=None)) == 2
+    assert complete_coloring(empty_partial(k3, None, 3), timeout_ms=None).is_complete
 
 
 def test_is_critical_edge():
