@@ -205,6 +205,18 @@ class PartialEdgeColoring:
         w = self._slot[v][color]
         return None if w < 0 else w
 
+    def partners(self, v: int, mask: int) -> list[int]:
+        """The neighbors across the colors in ``mask`` at ``v``, in
+        increasing color order; colors missing at ``v`` are skipped."""
+        slot = self._slot[v]
+        mask &= self._present[v]
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(slot[low.bit_length() - 1])
+            mask ^= low
+        return out
+
     @property
     def colored_count(self) -> int:
         return self._count
@@ -280,9 +292,7 @@ class PartialEdgeColoring:
     ) -> "PartialEdgeColoring":
         """Build a coloring from an explicit edge-to-color mapping."""
         c = cls(graph, k, hole)
-        for (u, v), color in sorted(
-            (_normalize_edge(u, v), color) for (u, v), color in assignment.items()
-        ):
+        for (u, v), color in assignment.items():
             if color:
                 c._assign(u, v, color)
         return c

@@ -13,13 +13,18 @@ Every shape is a table of rows ``(p, q, via)`` over its roles: edge pq
 carries a color missed at one of the ``via`` roles, and row 0 is the
 uncolored edge.  One finder (:func:`_embeddings`), one checker
 (:func:`_unmet_row`) and one greedy grower (:func:`_grow`) read them.
+
+A shape that a finder or grower built remembers the coloring it was
+built on, and a validator handed that same coloring object skips the
+row check: no public operation changes a coloring in place, so the rows
+still hold.  Any other coloring, or a hand-built shape, is checked in
+full.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
-from typing import Container
 
 from .coloring import PartialEdgeColoring
 from .graph import Graph, _bits, _normalize_edge
@@ -75,17 +80,11 @@ def _require_single_hole(c: PartialEdgeColoring) -> tuple[int, int]:
     return c.hole
 
 
-def _partners(
-    c: PartialEdgeColoring, v: int, mask: int, used: Container[int]
-) -> list[int]:
-    """The neighbors of ``v`` across the colors in ``mask`` that are not
-    in ``used``, in increasing color order."""
-    out = []
-    for color in _bits(mask):
-        w = c.partner(v, color)
-        if w is not None and w not in used:
-            out.append(w)
-    return out
+def _found(shape, c: PartialEdgeColoring):
+    """``shape``, marked as built on the coloring ``c``.  Only finders and
+    growers set the mark, so a hand-built shape is never trusted."""
+    object.__setattr__(shape, "_found_on", c)
+    return shape
 
 
 def _embeddings(
@@ -100,6 +99,8 @@ def _embeddings(
     j)``, role ``j`` is placed only above role ``i``'s vertex.
     """
     hole = _require_single_hole(c)
+    missing = [c.missing_mask(v) for v in range(c.graph.n)]
+    partners = c.partners
     out: list[tuple[int, ...]] = []
     low, high = ascending
 
@@ -110,12 +111,14 @@ def _embeddings(
         p, q, via = rows[i]
         mask = 0
         for r in via:
-            mask |= c.missing_mask(placed[r])
+            mask |= missing[placed[r]]
         if q < len(placed):
-            if placed[q] in _partners(c, placed[p], mask, ()):
+            if placed[q] in partners(placed[p], mask):
                 fill(i + 1, placed)
             return
-        for w in _partners(c, placed[p], mask, placed):
+        for w in partners(placed[p], mask):
+            if w in placed:
+                continue
             if q == high and w < placed[low]:
                 continue
             placed.append(w)
@@ -189,7 +192,7 @@ def _grow(c: PartialEdgeColoring, placed: list[int], rows: tuple) -> list[int]:
         mask = 0
         for r in via:
             mask |= c.missing_mask(placed[r])
-        step = _partners(c, placed[p], mask, placed)
+        step = [w for w in c.partners(placed[p], mask) if w not in placed]
         if not step:
             break
         placed.append(step[0])
@@ -211,6 +214,9 @@ class Multifan:
 
     center: int
     spokes: tuple[int, ...]
+    _found_on: PartialEdgeColoring | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -245,10 +251,12 @@ def grow_multifan(c: PartialEdgeColoring, center: int | None = None) -> Multifan
     y1 = hole[1] if hole[0] == center else hole[0]
     rows = _multifan_rows(c.graph.degree(center) + 1)
     x, *spokes = _grow(c, [center, y1], rows)
-    return Multifan(x, tuple(spokes))
+    return _found(Multifan(x, tuple(spokes)), c)
 
 
 def _check_multifan_structure(c: PartialEdgeColoring, f: Multifan) -> None:
+    if f._found_on is c:
+        return
     if not f.spokes:
         raise StructuralError("multifan needs at least one spoke")
     _check_rows(c, _multifan_rows(len(f.vertices)), f.vertices, "fan")
@@ -391,12 +399,13 @@ def validate_fan_linkage(c: PartialEdgeColoring, f: Multifan) -> Verdict:
     dec = _decompose(c, f)
     x = f.center
     spokes = f.spokes
+    missing = [c.missing(y) for y in spokes]
     for i, yi in enumerate(spokes):
-        for delta in c.missing(yi):
+        for delta in missing[i]:
             for j, yj in enumerate(spokes):
                 if i == j:
                     continue
-                for lam in c.missing(yj):
+                for lam in missing[j]:
                     if dec.induced_by[delta] != dec.induced_by[lam]:
                         if not c.linked(yi, yj, delta, lam):
                             return Verdict(
@@ -426,6 +435,9 @@ class KiersteadPath:
     color missed by a vertex at least two positions back."""
 
     vertices: tuple[int, ...]
+    _found_on: PartialEdgeColoring | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -449,12 +461,19 @@ def _check_kierstead_structure(
     _check_rows(c, _kierstead_rows(len(vertices)), vertices, "path")
 
 
+def _check_path(c: PartialEdgeColoring, k: KiersteadPath) -> None:
+    """:func:`_check_kierstead_structure`, skipped for a path found on ``c``."""
+    if k._found_on is not c:
+        _check_kierstead_structure(c, k.vertices)
+
+
 def kierstead_paths(c: PartialEdgeColoring, vertices: int) -> list[KiersteadPath]:
     """All Kierstead paths with exactly that many vertices, both
     orientations of the uncolored edge, in lexicographic growth order."""
     if not 2 <= vertices <= 5:
         raise ValueError("supported path sizes are 2..5 vertices")
-    return [KiersteadPath(p) for p in _embeddings(c, _kierstead_rows(vertices))]
+    rows = _kierstead_rows(vertices)
+    return [_found(KiersteadPath(p), c) for p in _embeddings(c, rows)]
 
 
 def grow_kierstead(
@@ -467,7 +486,8 @@ def grow_kierstead(
     """
     vertices = tuple(seed.vertices if isinstance(seed, KiersteadPath) else seed)
     _check_kierstead_structure(c, vertices)
-    return KiersteadPath(tuple(_grow(c, list(vertices), _kierstead_rows(5))))
+    grown = _grow(c, list(vertices), _kierstead_rows(5))
+    return _found(KiersteadPath(tuple(grown)), c)
 
 
 def validate_kierstead4(c: PartialEdgeColoring, k: KiersteadPath) -> Verdict:
@@ -479,7 +499,7 @@ def validate_kierstead4(c: PartialEdgeColoring, k: KiersteadPath) -> Verdict:
     """
     if len(k.vertices) != 4:
         raise StructuralError(f"expected 4 vertices, got {len(k.vertices)}")
-    _check_kierstead_structure(c, k.vertices)
+    _check_path(c, k)
     g = c.graph
     delta = g.max_degree
     v0, v1, v2, v3 = k.vertices
@@ -645,6 +665,9 @@ class ForkLike:
 
     kind: str
     roles: tuple[tuple[str, int], ...]
+    _found_on: PartialEdgeColoring | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def role_map(self) -> dict[str, int]:
@@ -674,7 +697,8 @@ def find_forklike(c: PartialEdgeColoring, kind: str) -> list[ForkLike]:
         found = [f for f in found if _fork_crosses(c, f)]
     else:
         found = _embeddings(c, _SHAPE_ROWS[kind])
-    return [ForkLike(kind, tuple(zip(_ROLE_NAMES[kind], f))) for f in found]
+    names = _ROLE_NAMES[kind]
+    return [_found(ForkLike(kind, tuple(zip(names, f))), c) for f in found]
 
 
 def _forklike_failure(c: PartialEdgeColoring, fl: ForkLike, kind: str) -> str | None:
@@ -683,6 +707,8 @@ def _forklike_failure(c: PartialEdgeColoring, fl: ForkLike, kind: str) -> str | 
     StructuralError when ``fl`` is not a ``kind`` skeleton."""
     if fl.kind != kind:
         raise StructuralError(f"expected a {kind}, got {fl.kind}")
+    if fl._found_on is c:
+        return None
     names = _ROLE_NAMES[kind]
     m = fl.role_map
     if len(fl.roles) != len(names) or set(m) != set(names):

@@ -46,7 +46,10 @@ def _bits(mask: int) -> tuple[int, ...]:
 class Graph:
     """An immutable simple graph on vertices ``0 .. n-1``."""
 
-    __slots__ = ("_n", "_edges", "_adj_mask", "_neighbors", "_edge_index")
+    __slots__ = (
+        "_n", "_edges", "_adj_mask", "_neighbors", "_edge_index", "_degrees",
+        "_max_degree",
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -62,6 +65,8 @@ class Graph:
         self._n = n
         self._adj_mask = tuple(masks)
         self._neighbors = tuple(_bits(masks[v]) for v in range(n))
+        self._degrees = tuple(len(nb) for nb in self._neighbors)
+        self._max_degree = max(self._degrees, default=0)
         edge_list: list[tuple[int, int]] = []
         for u in range(n):
             for v in self._neighbors[u]:
@@ -83,19 +88,19 @@ class Graph:
         return self._edges
 
     def degree(self, v: int) -> int:
-        return len(self._neighbors[v])
+        return self._degrees[v]
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nb) for nb in self._neighbors)
+        return self._degrees
 
     @property
     def max_degree(self) -> int:
-        return max(self.degrees, default=0)
+        return self._max_degree
 
     @property
     def min_degree(self) -> int:
-        return min(self.degrees, default=0)
+        return min(self._degrees, default=0)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
@@ -261,10 +266,7 @@ def iter_graph6_lines(text: str) -> Iterator[str]:
     """
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         if line.startswith(GRAPH6_HEADER):
-            line = line[len(GRAPH6_HEADER):]
-            if not line:
-                continue
-        yield line
+            line = line[len(GRAPH6_HEADER):].strip()
+        if line:
+            yield line

@@ -23,7 +23,7 @@ from .fans import (
     VIOLATION,
     KiersteadPath,
     StructuralError,
-    _check_kierstead_structure,
+    _check_path,
     validate_kierstead4,
 )
 from .graph import _normalize_edge
@@ -432,7 +432,7 @@ def canonicalize_k5_path(
     """
     if len(k.vertices) != 5:
         raise StructuralError(f"expected 5 vertices, got {len(k.vertices)}")
-    _check_kierstead_structure(c, k.vertices)
+    _check_path(c, k)
     a, b, u, s, t = k.vertices
     shared = c.missing_mask(t) & (c.missing_mask(a) | c.missing_mask(b))
     if shared.bit_count() < 3:

@@ -67,6 +67,11 @@ def _edge_of(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
     return _normalize_edge(u, v)
 
 
+def _check_budget(timeout_ms: int | None) -> None:
+    if timeout_ms is not None and timeout_ms <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout_ms}")
+
+
 def _search(
     g: Graph,
     k: int,
@@ -83,8 +88,7 @@ def _search(
     and with an rng it would restrict the reachable colorings.  Raises
     OracleTimeout when ``timeout_ms`` (None for no budget) runs out.
     """
-    if timeout_ms is not None and timeout_ms <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout_ms}")
+    _check_budget(timeout_ms)
     deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
     full = ((1 << k) - 1) << 1
     degs = g.degrees
@@ -172,12 +176,16 @@ def _search(
                 avail[u] |= bit
                 avail[v] |= bit
             return False
-        bits = []
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            bits.append(bit)
-        rng.shuffle(bits)
+        # A shuffle of fewer than two items draws nothing from the rng.
+        if cand & (cand - 1):
+            bits = []
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                bits.append(bit)
+            rng.shuffle(bits)
+        else:
+            bits = (cand,)
         for bit in bits:
             avail[u] &= ~bit
             avail[v] &= ~bit
@@ -300,6 +308,7 @@ def sample_colorings(
     hole = _edge_of(g, e)
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    _check_budget(timeout_ms)
     delta = g.max_degree
     out = []
     for i in range(count):

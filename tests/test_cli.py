@@ -44,6 +44,12 @@ def test_chi_from_stdin(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["class"] == "class2"
 
 
+def test_chi_from_stdin_with_header_line(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(">>graph6<< Bw\n"))
+    assert main(["chi", "-"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"chi_prime": 3, "class": "class2"}
+
+
 def test_color_json_and_csv(tmp_path, capsys):
     path = _write(tmp_path, "k4.g6", "C~\n")
     assert main(["color", path]) == 0

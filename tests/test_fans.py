@@ -8,6 +8,7 @@ from chroma import (
     INAPPLICABLE,
     OK,
     VIOLATION,
+    CanonicalizeResult,
     ForkLike,
     Graph,
     KiersteadPath,
@@ -16,6 +17,7 @@ from chroma import (
     StructuralError,
     Verdict,
     alpha_decompose,
+    canonicalize_k5_path,
     check_degree_dichotomy,
     check_fork_exclusion,
     check_val,
@@ -571,10 +573,12 @@ def test_structural_errors_across_shapes(case):
 def _assert_finder_meets_shape(c: PartialEdgeColoring) -> None:
     # The finder grows each shape from the role-index rows derived from
     # the shape table, and the validators read the table by role name;
-    # every embedding found must pass the validators' reading too.
+    # every embedding found must pass the validators' reading too.  A
+    # found shape skips that reading on its own coloring, so its
+    # hand-built twin is checked.
     for kind in ("fork", "short-kite", "kite"):
         for fl in find_forklike(c, kind):
-            assert _forklike_failure(c, fl, kind) is None, (kind, fl)
+            assert _forklike_failure(c, _twin(fl), kind) is None, (kind, fl)
 
 
 def test_finders_agree_with_shape_table():
@@ -735,6 +739,99 @@ def test_growers_match_color_blind_reference():
             assert grow_kierstead(c, (x, y)) == KiersteadPath(tuple(path))
             grown += len(fan) + len(path) - 4
     assert grown
+
+
+def _twin(shape):
+    """The hand-built shape equal to a found one."""
+    if isinstance(shape, Multifan):
+        return Multifan(shape.center, shape.spokes)
+    if isinstance(shape, KiersteadPath):
+        return KiersteadPath(shape.vertices)
+    return ForkLike(shape.kind, shape.roles)
+
+
+def _found_shapes(c: PartialEdgeColoring) -> list:
+    """(validator, shape) for every shape the finders and growers build
+    on ``c`` and every public validator that reads it."""
+    checks = []
+    for center in c.hole:
+        fan = grow_multifan(c, center)
+        checks += [(validate_multifan, fan), (validate_fan_linkage, fan)]
+        if c.is_elementary(fan.vertices):
+            checks.append((alpha_decompose, fan))
+        path = grow_kierstead(c, (center, c.hole[0] + c.hole[1] - center))
+        if len(path.vertices) == 4:
+            checks.append((validate_kierstead4, path))
+    checks += [(validate_kierstead4, p) for p in kierstead_paths(c, 4)]
+    checks += [(canonicalize_k5_path, p) for p in kierstead_paths(c, 5)]
+    checks += [(validate_shortkite, s) for s in find_forklike(c, "short-kite")]
+    checks += [(validate_kite, s) for s in find_forklike(c, "kite")]
+    return checks
+
+
+def _outcome(validate, c: PartialEdgeColoring, shape):
+    try:
+        result = validate(c, shape)
+    except StructuralError as exc:
+        return ("StructuralError", str(exc))
+    if isinstance(result, CanonicalizeResult):
+        return (result.status, result.detail, result.transcript)
+    return result
+
+
+def _row_fails(outcome) -> bool:
+    """True when the outcome says a row of the shape does not hold."""
+    if isinstance(outcome, Verdict):
+        return outcome.status == INAPPLICABLE and outcome.detail.endswith(" fails")
+    return isinstance(outcome, tuple) and outcome[0] == "StructuralError"
+
+
+def _swapped_copies(c: PartialEdgeColoring) -> list[PartialEdgeColoring]:
+    """One copy of ``c`` per distinct nonempty Kempe chain, swapped."""
+    chains = {}
+    for v in range(c.graph.n):
+        for alpha in range(1, c.k + 1):
+            for beta in range(alpha + 1, c.k + 1):
+                chain = c.kempe_chain(v, alpha, beta)
+                if chain.edges:
+                    chains.setdefault((chain.colors, chain.edges), chain)
+    return [c.swap(chain) for chain in chains.values()]
+
+
+def test_found_shapes_equal_their_hand_built_twins():
+    checked = 0
+    for c in _sampled_hosts():
+        for validate, shape in _found_shapes(c):
+            twin = _twin(shape)
+            assert shape == twin and hash(shape) == hash(twin)
+            assert repr(shape) == repr(twin)
+            assert _outcome(validate, c, shape) == _outcome(validate, c, twin)
+            checked += 1
+    assert checked
+
+
+def test_trust_ends_at_the_coloring_a_shape_was_found_on():
+    # A swapped copy is another coloring object: a found shape whose row
+    # fails there gets exactly what its hand-built twin gets.
+    rows_failed = {}
+    for c in _sampled_hosts():
+        checks = _found_shapes(c)
+        for copy in _swapped_copies(c):
+            for validate, shape in checks:
+                expected = _outcome(validate, copy, _twin(shape))
+                assert _outcome(validate, copy, shape) == expected
+                if _row_fails(expected):
+                    name = validate.__name__
+                    rows_failed[name] = rows_failed.get(name, 0) + 1
+    assert set(rows_failed) == {
+        "validate_multifan",
+        "validate_fan_linkage",
+        "alpha_decompose",
+        "validate_kierstead4",
+        "canonicalize_k5_path",
+        "validate_shortkite",
+        "validate_kite",
+    }, rows_failed
 
 
 def test_find_forklike_rejects_unknown_kind():

@@ -178,3 +178,6 @@ def test_parse_edge_list_errors():
 def test_iter_graph6_lines():
     text = ">>graph6<<\n# comment\nBw\n\nC~  # K4\n"
     assert list(iter_graph6_lines(text)) == ["Bw", "C~"]
+    # A payload on the header line loses the space after the header too.
+    text = ">>graph6<< Bw\n>>graph6<<C~\n>>graph6<<   \n"
+    assert list(iter_graph6_lines(text)) == ["Bw", "C~"]
