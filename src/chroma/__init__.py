@@ -12,11 +12,6 @@ from .graph import (
 from .coloring import (
     PartialEdgeColoring,
     KempeChain,
-    SwapScript,
-    ChainSwap,
-    RecolorEdge,
-    ColorEdge,
-    ScriptError,
     empty_partial,
 )
 from .oracle import (

@@ -5,8 +5,7 @@ of the edges of a graph; ``0`` is the uncolored sentinel.  At most one
 edge is *designated* uncolored (the hole) in the states the validators
 consume, but states with many unassigned edges arise too: the shell from
 ``empty_partial``, the input that ``oracle.complete_coloring`` extends,
-the states between ``ColorEdge`` steps of a script, and partial
-``from_assignment`` dicts.  The class tolerates both.
+and partial ``from_assignment`` dicts.  The class tolerates both.
 
 Per-vertex bookkeeping is exact and incremental: ``present_mask(v)`` is a
 bitmask of colors on edges at ``v``, ``missing_mask(v)`` its complement
@@ -25,23 +24,8 @@ from .graph import Graph, _bits, _normalize_edge
 __all__ = [
     "PartialEdgeColoring",
     "KempeChain",
-    "ChainSwap",
-    "RecolorEdge",
-    "ColorEdge",
-    "SwapScript",
-    "ScriptError",
-    "ScriptOutcome",
     "empty_partial",
 ]
-
-
-class ScriptError(Exception):
-    """A swap script step failed; carries the step index and reason."""
-
-    def __init__(self, step_index: int, reason: str):
-        self.step_index = step_index
-        self.reason = reason
-        super().__init__(f"step {step_index}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -99,48 +83,6 @@ class KempeChain:
             edges=self.edges[i:j],
             edge_colors=self.edge_colors[i:j],
         )
-
-
-@dataclass(frozen=True)
-class ChainSwap:
-    """Swap the two-colored chain through ``anchor``.
-
-    With ``limit`` set, only the segment between ``anchor`` and ``limit``
-    is exchanged (the subchain swap); otherwise the whole component flips.
-    """
-
-    anchor: int
-    colors: tuple[int, int]
-    limit: int | None = None
-
-
-@dataclass(frozen=True)
-class RecolorEdge:
-    edge: tuple[int, int]
-    old: int
-    new: int
-
-
-@dataclass(frozen=True)
-class ColorEdge:
-    edge: tuple[int, int]
-    color: int
-
-
-Step = ChainSwap | RecolorEdge | ColorEdge
-
-
-@dataclass(frozen=True)
-class SwapScript:
-    """A finite recoloring program, applied strictly left to right."""
-
-    steps: tuple[Step, ...]
-
-
-@dataclass(frozen=True)
-class ScriptOutcome:
-    coloring: "PartialEdgeColoring"
-    transcript: tuple[str, ...]
 
 
 class PartialEdgeColoring:
@@ -445,58 +387,6 @@ class PartialEdgeColoring:
         """True when the vertices' missing color sets are pairwise disjoint."""
         return self.elementary_conflict(vertices) is None
 
-    # -- scripts ---------------------------------------------------------
-
-    def apply_script(self, script: SwapScript) -> ScriptOutcome:
-        """Run a swap script left to right, collecting a transcript.
-
-        Any failing step raises :class:`ScriptError` carrying the step
-        index; the input coloring is unchanged in that case.
-        """
-        cur = self
-        lines = []
-        for i, step in enumerate(script.steps):
-            try:
-                if isinstance(step, ChainSwap):
-                    a, b = step.colors
-                    if step.limit is None:
-                        chain = cur.kempe_chain(step.anchor, a, b)
-                        cur = cur.swap(chain)
-                        lines.append(
-                            f"step {i}: swapped ({a}, {b})-chain at {step.anchor}"
-                            f" [{len(chain.edges)} edges]"
-                        )
-                    else:
-                        cur = cur.swap_subchain(step.anchor, step.limit, a, b)
-                        lines.append(
-                            f"step {i}: swapped ({a}, {b})-subchain"
-                            f" {step.anchor}..{step.limit}"
-                        )
-                elif isinstance(step, RecolorEdge):
-                    u, v = step.edge
-                    nxt = cur.copy()
-                    got = nxt._unassign(u, v)
-                    if got != step.old:
-                        raise ValueError(
-                            f"edge ({u}, {v}) carries {got}, expected {step.old}"
-                        )
-                    nxt._assign(u, v, step.new)
-                    cur = nxt
-                    lines.append(
-                        f"step {i}: recolored ({u}, {v}) {step.old} -> {step.new}"
-                    )
-                elif isinstance(step, ColorEdge):
-                    u, v = step.edge
-                    nxt = cur.copy()
-                    nxt._assign(u, v, step.color)
-                    cur = nxt
-                    lines.append(f"step {i}: colored ({u}, {v}) with {step.color}")
-                else:
-                    raise ValueError(f"unknown step type {type(step).__name__}")
-            except ValueError as exc:
-                raise ScriptError(i, str(exc)) from None
-        return ScriptOutcome(cur, tuple(lines))
-
     # -- serialization ---------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -511,7 +401,12 @@ class PartialEdgeColoring:
     @classmethod
     def from_json_obj(cls, graph: Graph, obj: dict) -> "PartialEdgeColoring":
         hole = tuple(obj["uncolored"]) if obj.get("uncolored") else None
-        listed = {_normalize_edge(u, v): color for u, v, color in obj["edges"]}
+        listed = {}
+        for u, v, color in obj["edges"]:
+            e = _normalize_edge(u, v)
+            if e in listed:
+                raise ValueError(f"edge {e} listed twice")
+            listed[e] = color
         if set(listed) != set(graph.edges):
             raise ValueError("serialized edge set does not match the graph")
         c = cls.from_assignment(graph, int(obj["k"]), listed, hole)

@@ -160,6 +160,15 @@ def degree_stats(g: Graph) -> tuple[int, int, tuple[int, ...]]:
     return (max(degs), min(degs), degs)
 
 
+def _strip_header(line: str) -> str:
+    """``line`` without surrounding whitespace or a ``>>graph6<<`` prefix,
+    including any whitespace between the prefix and the payload."""
+    s = line.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER):].lstrip()
+    return s
+
+
 def parse_graph6(line: str) -> Graph:
     """Decode one graph from its graph6 representation.
 
@@ -168,9 +177,7 @@ def parse_graph6(line: str) -> Graph:
     ValueError, as does any byte outside the printable graph6 range or a
     truncated edge-bit region.
     """
-    s = line.strip()
-    if s.startswith(GRAPH6_HEADER):
-        s = s[len(GRAPH6_HEADER):]
+    s = _strip_header(line)
     if not s:
         raise ValueError("empty graph6 string")
     data = [ord(ch) - _G6_OFFSET for ch in s]
@@ -265,8 +272,6 @@ def iter_graph6_lines(text: str) -> Iterator[str]:
     ``#`` starts a comment anywhere on a line; no graph6 payload holds it.
     """
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith(GRAPH6_HEADER):
-            line = line[len(GRAPH6_HEADER):].strip()
+        line = _strip_header(raw.split("#", 1)[0])
         if line:
             yield line

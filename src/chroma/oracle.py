@@ -83,10 +83,11 @@ def _search(
     """Find a proper k-edge-coloring of g (minus ``hole``), else None.
 
     ``preset`` pins edge colors before the search.  ``rng`` randomizes the
-    branch order.  Only a plain decision (no ``rng``, no ``preset``) breaks
-    color symmetry: with a preset the colors are no longer interchangeable,
-    and with an rng it would restrict the reachable colorings.  Raises
-    OracleTimeout when ``timeout_ms`` (None for no budget) runs out.
+    branch order; no caller passes both.  Only a plain decision (no
+    ``rng``, no ``preset``) breaks color symmetry: with a preset the colors
+    are no longer interchangeable, and with an rng it would restrict the
+    reachable colorings.  Raises OracleTimeout when ``timeout_ms`` (None
+    for no budget) runs out.
     """
     _check_budget(timeout_ms)
     deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
@@ -324,16 +325,15 @@ def sample_colorings(
 def complete_coloring(
     c: PartialEdgeColoring,
     *,
-    seed: int | None = None,
     timeout_ms: int | None = DEFAULT_TIMEOUT_MS,
 ) -> PartialEdgeColoring | None:
     """Extend a partial coloring to all edges except its hole, or None.
 
-    The assigned edges act as hard constraints.  With a seed the branch
-    order is randomized (deterministically); otherwise the search is the
-    plain ordered one.  Useful for steering a coloring toward a wanted
-    missing-color pattern.
+    The assigned edges act as hard constraints and the rest are searched
+    in the plain deterministic order, so the same input always gives the
+    same completion.  Useful for steering a coloring toward a wanted
+    missing-color pattern; for other completions, apply Kempe swaps
+    (``kempe_chain`` and ``swap``) to the result.
     """
     preset = {e: color for e, color in c.edge_items() if color and e != c.hole}
-    rng = None if seed is None else _sample_rng(seed, 0)
-    return _search(c.graph, c.k, c.hole, preset, rng, timeout_ms)
+    return _search(c.graph, c.k, c.hole, preset, None, timeout_ms)

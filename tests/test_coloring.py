@@ -1,4 +1,4 @@
-"""Partial edge colorings, Kempe chains, swaps, scripts, and serialization."""
+"""Partial edge colorings, Kempe chains, swaps, and serialization."""
 
 from __future__ import annotations
 
@@ -8,13 +8,8 @@ import random
 import pytest
 
 from chroma import (
-    ChainSwap,
-    ColorEdge,
     Graph,
     PartialEdgeColoring,
-    RecolorEdge,
-    ScriptError,
-    SwapScript,
     empty_partial,
     families,
     oracle,
@@ -137,14 +132,27 @@ def _reference_component(
 
 def _fixture_colorings():
     """Sampled colorings: Δ colors for the critical C5 and Petersen minus
-    a vertex, Δ + 1 colors for K5, whose edge-deleted subgraphs stay class 2."""
+    a vertex, Δ + 1 colors for K5, whose edge-deleted subgraphs stay class 2.
+
+    The K5 colorings are three seeded walks of four random whole-chain
+    swaps each from the plain completion, three distinct ones per edge."""
     for g in (families.cycle(5), families.petersen_minus_vertex()):
         for e in g.edges:
             yield from oracle.sample_colorings(g, e, 3, 0)
     k5 = families.complete(5)
     for e in k5.edges:
+        plain = oracle.complete_coloring(empty_partial(k5, e, 5))
+        walks = []
         for seed in range(3):
-            yield oracle.complete_coloring(empty_partial(k5, e, 5), seed=seed)
+            rng = random.Random(seed)
+            c = plain
+            for _ in range(4):
+                x = rng.randrange(k5.n)
+                alpha, beta = rng.sample(range(1, c.k + 1), 2)
+                c = c.swap(c.kempe_chain(x, alpha, beta))
+            walks.append(c)
+        assert len({tuple(w.edge_items()) for w in walks}) == 3
+        yield from walks
 
 
 def test_kempe_chain_matches_reference_component():
@@ -246,57 +254,6 @@ def test_elementary_conflict():
     assert not c3.is_elementary([2, 0])
 
 
-def test_apply_script_success_transcript():
-    c = PartialEdgeColoring.from_assignment(
-        _P4, 3, {(0, 1): 1, (1, 2): 2}, hole=None
-    )
-    script = SwapScript(
-        (
-            ColorEdge((2, 3), 1),
-            ChainSwap(0, (1, 2)),
-            RecolorEdge((0, 1), old=2, new=3),
-        )
-    )
-    out = c.apply_script(script)
-    assert out.transcript == (
-        "step 0: colored (2, 3) with 1",
-        "step 1: swapped (1, 2)-chain at 0 [3 edges]",
-        "step 2: recolored (0, 1) 2 -> 3",
-    )
-    assert dict(out.coloring.edge_items()) == {(0, 1): 3, (1, 2): 1, (2, 3): 2}
-    assert out.coloring.check_proper() == []
-    assert c.colored_count == 2
-
-
-def test_apply_script_subchain_step():
-    c = _p4()
-    out = c.apply_script(SwapScript((ChainSwap(0, (1, 2), limit=3),)))
-    assert out.transcript == ("step 0: swapped (1, 2)-subchain 0..3",)
-    assert out.coloring.color(0, 1) == 2
-
-
-def test_apply_script_failures_carry_step_index():
-    c = _p4()
-    with pytest.raises(ScriptError) as info:
-        c.apply_script(
-            SwapScript(
-                (
-                    ChainSwap(0, (1, 2)),
-                    RecolorEdge((0, 1), old=1, new=2),
-                )
-            )
-        )
-    assert info.value.step_index == 1
-    assert "carries 2, expected 1" in str(info.value)
-    with pytest.raises(ScriptError) as info:
-        c.apply_script(SwapScript((ColorEdge((0, 1), 2),)))
-    assert info.value.step_index == 0
-    assert "already colored" in str(info.value)
-    with pytest.raises(ScriptError) as info:
-        c.apply_script(SwapScript((ChainSwap(0, (1, 2), limit=1),)))
-    assert "improper" in str(info.value)
-
-
 def test_json_round_trip():
     c = PartialEdgeColoring.from_assignment(
         families.cycle(5),
@@ -321,6 +278,14 @@ def test_json_rejects_mismatched_graph():
     bad["uncolored"] = [0, 1]
     with pytest.raises(ValueError, match="has a color"):
         PartialEdgeColoring.from_json_obj(_P4, bad)
+    # A repeated edge is refused rather than resolved by its last entry.
+    twice = {
+        "k": 3,
+        "uncolored": [0, 4],
+        "edges": [[0, 1, 1], [1, 2, 2], [2, 3, 1], [3, 4, 2], [0, 4, 0], [1, 0, 3]],
+    }
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) listed twice$"):
+        PartialEdgeColoring.from_json_obj(families.cycle(5), twice)
 
 
 def test_check_proper_detects_drift():
@@ -348,16 +313,7 @@ def test_colored_count_follows_every_mutation():
     results.append(c.swap_subchain(0, 3, 1, 2))
     shell = PartialEdgeColoring.from_assignment(_P4, 3, {(0, 1): 1}, hole=(2, 3))
     assert (shell.colored_count, shell.is_complete) == (1, False)
-    script = SwapScript(
-        (
-            ColorEdge((1, 2), 2),
-            ChainSwap(0, (1, 2)),
-            RecolorEdge((0, 1), old=2, new=3),
-        )
-    )
-    done = shell.apply_script(script).coloring
-    assert (done.colored_count, done.is_complete) == (2, True)
-    results += [shell, done]
+    results.append(shell)
     g = families.petersen_minus_vertex()
     for sample in oracle.sample_colorings(g, g.edges[0], 3, seed=1):
         results.append(sample)

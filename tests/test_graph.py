@@ -98,6 +98,8 @@ def test_parse_graph6_hand_vectors():
     assert parse_graph6("Bw") == families.complete(3)
     assert parse_graph6("C~") == families.complete(4)
     assert parse_graph6(">>graph6<<Bw") == families.complete(3)
+    # The header rule is the one iter_graph6_lines applies.
+    assert parse_graph6(">>graph6<< Bw") == families.complete(3)
 
 
 def test_to_graph6_matches_reference_encoder():
