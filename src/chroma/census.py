@@ -32,6 +32,7 @@ from time import perf_counter
 from typing import Iterable
 
 from . import fans, kpath5, oracle, overfull
+from .coloring import PartialEdgeColoring
 from .fans import INAPPLICABLE
 from .graph import Graph, iter_graph6_lines, parse_graph6, to_graph6
 
@@ -250,14 +251,17 @@ def _critical_suites(
     g: Graph,
     g6: str,
     config: CensusConfig,
+    certificates: dict,
     tallies: dict,
     witnesses: list[dict],
 ) -> None:
-    """Edge-by-edge validator sweep; only called on certified hosts.  Each
-    edge is sampled just before its suites, so a sampling timeout keeps
-    the earlier edges' tallies and names its own edge.  A sample that
-    repeats an earlier coloring of its edge replays that coloring's
-    tallies and witnesses instead of running the suites again."""
+    """Edge-by-edge validator sweep; only called on certified hosts, with
+    each edge's certificate (a coloring of g minus the edge) as the start
+    of its sampling walk.  Each edge is sampled just before its suites,
+    so a sampling timeout keeps the earlier edges' tallies and names its
+    own edge.  A sample that repeats an earlier coloring of its edge
+    replays that coloring's tallies and witnesses instead of running the
+    suites again."""
     per_edge: dict[tuple[int, int], list] = {}
     for e in g.edges:
         x, y = e
@@ -266,9 +270,12 @@ def _critical_suites(
             if _tally(tallies, "val", verdict.status):
                 witnesses.append(_witness(g6, (p, q), None, "val", verdict.detail))
         seed = _edge_seed(config.seed, g6, e)
+        start = PartialEdgeColoring.from_assignment(
+            g, g.max_degree, dict(certificates[e].edge_items()), hole=e
+        )
         try:
             per_edge[e] = oracle.sample_colorings(
-                g, e, config.samples, seed, timeout_ms=config.timeout_ms
+                g, e, config.samples, seed, timeout_ms=config.timeout_ms, start=start
             )
         except oracle.OracleTimeout as exc:
             raise oracle.OracleTimeout(f"sampling edge {e}: {exc}") from exc
@@ -317,6 +324,7 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
     classify_ms = 0.0
     chi = None
     critical = False
+    certificates: dict = {}
     ov_field = None
     if g.n:
         ov = overfull.is_overfull(g)
@@ -332,7 +340,7 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
             try:
                 chi = oracle.chromatic_index(g, timeout_ms=config.timeout_ms)
                 critical = oracle.is_delta_critical(
-                    g, chi=chi, timeout_ms=config.timeout_ms
+                    g, chi=chi, timeout_ms=config.timeout_ms, certificates=certificates
                 )
             finally:
                 classify_ms = (perf_counter() - t0) * 1000
@@ -364,7 +372,7 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
         else:
             record["theorem1"] = {"status": INAPPLICABLE, "detail": "empty graph"}
         if critical:
-            _critical_suites(g, g6, config, tallies, witnesses)
+            _critical_suites(g, g6, config, certificates, tallies, witnesses)
     except oracle.OracleTimeout as exc:
         record.setdefault("overfull", ov_field)
         error = f"oracle budget exceeded: {exc}"
@@ -480,6 +488,7 @@ def run_census(
         metadata={
             "seed": config.seed,
             "samples": config.samples,
+            "sampler": oracle.SAMPLER,
             "timeout_ms": config.timeout_ms,
             "corpus_hash": corpus_hash,
         },

@@ -278,16 +278,14 @@ class PartialEdgeColoring:
         pick segments or orientations explicitly.
         """
         self._check_chain_colors(alpha, beta)
-        forward = self._walk(x, alpha, beta)
-        if len(forward) > 1 and forward[-1] == x:
-            cycle = forward[:-1]
-            pivot = cycle.index(min(cycle))
-            verts = cycle[pivot:] + cycle[:pivot]
+        verts, is_cycle = self._component(x, alpha, beta)
+        if is_cycle:
+            pivot = verts.index(min(verts))
+            verts = verts[pivot:] + verts[:pivot]
             if verts[-1] < verts[1]:
                 verts[1:] = reversed(verts[1:])
             shape, pairs = "cycle", zip(verts, verts[1:] + verts[:1])
         else:
-            verts = forward[::-1] + self._walk(x, beta, alpha)[1:]
             if verts[0] > verts[-1]:
                 verts.reverse()
             shape, pairs = "path", zip(verts, verts[1:])
@@ -301,6 +299,14 @@ class PartialEdgeColoring:
         for c in (alpha, beta):
             if not 1 <= c <= self._k:
                 raise ValueError(f"color {c} outside palette 1..{self._k}")
+
+    def _component(self, x: int, alpha: int, beta: int) -> tuple[list[int], bool]:
+        """The (alpha, beta)-component through ``x`` in walk order, and
+        whether it is a cycle (its last vertex then meets its first)."""
+        forward = self._walk(x, alpha, beta)
+        if len(forward) > 1 and forward[-1] == x:
+            return forward[:-1], True
+        return forward[::-1] + self._walk(x, beta, alpha)[1:], False
 
     def _walk(self, x: int, first: int, second: int) -> list[int]:
         """Vertices met from ``x`` along edges colored ``first``, ``second``,
@@ -330,11 +336,41 @@ class PartialEdgeColoring:
                     f"stale chain: edge ({u}, {v}) no longer carries color {c}"
                 )
         out = self.copy()
-        for u, v in chain.edges:
-            out._unassign(u, v)
-        for (u, v), c in zip(chain.edges, chain.edge_colors):
-            out._assign(u, v, beta if c == alpha else alpha)
+        out._exchange(chain.edges, alpha, beta)
         return out
+
+    def _exchange(
+        self, edges: Iterable[tuple[int, int]], alpha: int, beta: int
+    ) -> None:
+        """Exchange ``alpha`` and ``beta`` on ``edges`` in place.
+
+        The one chain flip: :meth:`swap` applies it to a fresh copy, and
+        the oracle's Kempe walk to its private working coloring, so no
+        coloring handed to a caller changes.  Exchanging a whole
+        component stays proper; an improper exchange raises ValueError
+        and leaves this coloring half flipped.
+        """
+        index = self._graph.edge_index
+        colors, present, slot = self._colors, self._present, self._slot
+        flipped = []
+        for u, v in edges:
+            i = index(u, v)
+            c = colors[i]
+            present[u] ^= 1 << c
+            present[v] ^= 1 << c
+            slot[u][c] = slot[v][c] = -1
+            flipped.append((u, v, i, beta if c == alpha else alpha))
+        for u, v, i, c in flipped:
+            bit = 1 << c
+            if (present[u] | present[v]) & bit:
+                raise ValueError(
+                    f"color {c} already present at an endpoint of ({u}, {v})"
+                )
+            colors[i] = c
+            present[u] |= bit
+            present[v] |= bit
+            slot[u][c] = v
+            slot[v][c] = u
 
     def swap_subchain(
         self, x: int, y: int, alpha: int, beta: int
@@ -406,6 +442,8 @@ class PartialEdgeColoring:
             e = _normalize_edge(u, v)
             if e in listed:
                 raise ValueError(f"edge {e} listed twice")
+            if type(color) is not int:
+                raise ValueError(f"edge {e} has color {color!r}, not an int")
             listed[e] = color
         if set(listed) != set(graph.edges):
             raise ValueError("serialized edge set does not match the graph")

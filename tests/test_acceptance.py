@@ -163,10 +163,10 @@ def test_criterion_full_corpus_sweep(atlas_report):
     )
 
 
-# SHA-256 of the timing-stripped atlas report (967,077 bytes).  A refactor
+# SHA-256 of the timing-stripped atlas report (967,109 bytes).  A refactor
 # that keeps answers must keep this hash; a change that alters the report
 # on purpose updates it and says why.
-ATLAS_REPORT_SHA256 = "5da78334862a1ffe4c83062c9a1975f68636cb41947a41ecd98518d8f0ae0b9d"
+ATLAS_REPORT_SHA256 = "28d1d4df4d1fa00242d6e328465c5214a59ad13bf6dbf678f318cdbe9aac501c"
 
 
 def test_atlas_report_bytes_pinned(atlas_report):

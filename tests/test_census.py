@@ -163,6 +163,7 @@ def test_run_census_sorts_and_summarizes():
     }
     assert report.metadata["seed"] == 0
     assert report.metadata["samples"] == 3
+    assert report.metadata["sampler"] == chroma.oracle.SAMPLER == "kempe-walk-r10-s3"
     assert not report.has_findings
 
 
@@ -276,7 +277,7 @@ def test_fixture_report_bytes_pinned(fixture_corpus):
     report = run_census(fixture_corpus, CensusConfig(seed=0, samples=100))
     text = report.to_json_lines(include_timings=False)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "cb334f4e905bead484ddb2a44b945b72072f7af80655a09f60b06c47474c7994"
+        "ec4c1e781e7ad57c0123b5d99ba99c1270acf461a6cebe87bdf1d37266b163c1"
     )
 
 
@@ -340,6 +341,23 @@ def _reference_samples(g6: str, config: CensusConfig):
             g, e, config.samples, seed, timeout_ms=config.timeout_ms
         ):
             yield e, c
+
+
+def test_census_in_the_papers_regime():
+    # Subdivided K8 is critical and meets the hypothesis of Theorem 1.  Each
+    # edge's sampling walk starts from its certificate; drawing every
+    # sample by its own randomized search took over 20 s on this graph.
+    g6 = chroma.graph.to_graph6(families.subdivided_complete(8))
+    start = time.perf_counter()
+    rec = examine_graph(g6, CensusConfig(seed=0, samples=10)).record
+    elapsed = time.perf_counter() - start
+    assert "error" not in rec
+    assert rec["is_critical"]
+    assert rec["theorem1"]["status"] == "holds"
+    kite = rec["lemmas"]["kite"]
+    assert kite["checked"] > kite["inapplicable"]
+    assert sum(t["violations"] for t in rec["lemmas"].values()) == 0
+    assert elapsed < 10.0
 
 
 def test_coloring_suites_run_once_per_distinct_coloring(monkeypatch):

@@ -288,6 +288,17 @@ def test_json_rejects_mismatched_graph():
         PartialEdgeColoring.from_json_obj(families.cycle(5), twice)
 
 
+@pytest.mark.parametrize("color", ["1", 1.0, None, True], ids=repr)
+def test_json_rejects_a_color_that_is_not_an_int(color):
+    obj = {
+        "k": 3,
+        "uncolored": [0, 4],
+        "edges": [[0, 1, color], [1, 2, 2], [2, 3, 1], [3, 4, 2], [0, 4, 0]],
+    }
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) has color .*, not an int$"):
+        PartialEdgeColoring.from_json_obj(families.cycle(5), obj)
+
+
 def test_check_proper_detects_drift():
     c = _p4()
     i = _P4.edge_index(2, 3)

@@ -183,21 +183,96 @@ def test_complete_coloring_infeasible_preset():
     assert complete_coloring(partial) is None
 
 
+_WALK_HOSTS = (
+    families.cycle(5),
+    families.cycle(7),
+    families.subdivided_complete(4),
+    families.petersen_minus_vertex(),
+)
+
+
+def _colors(c: PartialEdgeColoring) -> tuple[int, ...]:
+    return tuple(color for _, color in c.edge_items())
+
+
+def _certified_starts(g: Graph) -> dict:
+    """Each edge's certificate from is_delta_critical, lifted to g with
+    that edge as the hole, the way the census starts its walks."""
+    certificates: dict = {}
+    assert is_delta_critical(g, certificates=certificates)
+    assert list(certificates) == list(g.edges)
+    return {
+        e: PartialEdgeColoring.from_assignment(
+            g, g.max_degree, dict(c.edge_items()), hole=e
+        )
+        for e, c in certificates.items()
+    }
+
+
+def test_walk_samples_are_proper_near_colorings():
+    # 25 samples cross two restarts of the walk.
+    for g in _WALK_HOSTS:
+        for e in g.edges:
+            for c in sample_colorings(g, e, 25, seed=3):
+                assert c.check_proper() == []
+                assert c.is_complete
+                assert c.hole == e and c.color(*e) == 0
+                assert c.k == g.max_degree
+
+
+def test_walk_prefix_and_explicit_start():
+    for g in _WALK_HOSTS:
+        starts = _certified_starts(g)
+        for e in g.edges:
+            full = [_colors(c) for c in sample_colorings(g, e, 25, seed=5)]
+            for count in (1, 10, 11, 24):
+                prefix = sample_colorings(g, e, count, seed=5)
+                assert [_colors(c) for c in prefix] == full[:count]
+            given = sample_colorings(g, e, 25, seed=5, start=starts[e])
+            assert [_colors(c) for c in given] == full
+
+
+def test_walk_never_changes_a_returned_sample():
+    g = families.subdivided_complete(4)
+    e = g.edges[0]
+    start = _certified_starts(g)[e]
+    before = _colors(start)
+    samples = sample_colorings(g, e, 25, seed=9, start=start)
+    assert _colors(start) == before
+    assert len({id(c) for c in samples}) == len(samples)
+    # Sample i of a run that went on equals the last sample of a run that
+    # stopped right after it.
+    for i, c in enumerate(samples):
+        last = sample_colorings(g, e, i + 1, seed=9, start=start)[-1]
+        assert _colors(c) == _colors(last)
+    assert len(set(map(_colors, samples))) > 1
+
+
+def test_walk_refuses_a_bad_start_or_a_non_critical_edge():
+    g = families.cycle(5)
+    start = _certified_starts(g)[(0, 1)]
+    with pytest.raises(ValueError, match="start is not"):
+        sample_colorings(g, (1, 2), 1, seed=0, start=start)
+    with pytest.raises(ValueError, match="start is not"):
+        sample_colorings(families.cycle(7), (0, 1), 1, seed=0, start=start)
+    shell = empty_partial(g, (0, 1), 2)
+    with pytest.raises(ValueError, match="start is not"):
+        sample_colorings(g, (0, 1), 1, seed=0, start=shell)
+    for host in (families.petersen(), families.complete(5)):
+        with pytest.raises(UncolorableError, match="no max-degree coloring"):
+            sample_colorings(host, host.edges[0], 5, seed=0)
+
+
 # SHA-256 over the color lists of 20 samples (seed 17) on every edge of
 # four critical graphs.  The census reports are built from these streams,
 # so an edit to the sampler that moves them must fail here first.
-_SAMPLE_STREAM_SHA256 = "de8b3b896c4b69855fea54163e4f8b66b6f1ab6de0995ecf51765cbc7ebbb519"
+_SAMPLE_STREAM_SHA256 = "b7768c8e340c89831d1838831cb69f06a88475bbb2a8a4b6f44e57af78c414d2"
 
 
 def test_sample_stream_is_pinned():
     h = hashlib.sha256()
-    for g in (
-        families.cycle(5),
-        families.cycle(7),
-        families.subdivided_complete(4),
-        families.petersen_minus_vertex(),
-    ):
+    for g in _WALK_HOSTS:
         for e in g.edges:
             for c in sample_colorings(g, e, 20, seed=17):
-                h.update(bytes(color for _, color in c.edge_items()))
+                h.update(bytes(_colors(c)))
     assert h.hexdigest() == _SAMPLE_STREAM_SHA256
