@@ -32,7 +32,6 @@ from time import perf_counter
 from typing import Iterable
 
 from . import fans, kpath5, oracle, overfull
-from .coloring import PartialEdgeColoring
 from .fans import INAPPLICABLE
 from .graph import Graph, iter_graph6_lines, parse_graph6, to_graph6
 
@@ -80,12 +79,22 @@ _CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class CensusConfig:
-    """Run parameters; the defaults finish a full n <= 8 sweep in minutes."""
+    """Run parameters; the defaults finish a full n <= 8 sweep in minutes.
+
+    Raises ValueError for fewer than one sample per edge or a budget that
+    is not positive.
+    """
 
     seed: int = 0
     samples: int = 100
     timeout_ms: int = oracle.DEFAULT_TIMEOUT_MS
     witness_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise ValueError(f"need at least one sample per edge, got {self.samples}")
+        if self.timeout_ms <= 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout_ms}")
 
 
 @dataclass(frozen=True)
@@ -251,17 +260,14 @@ def _critical_suites(
     g: Graph,
     g6: str,
     config: CensusConfig,
-    certificates: dict,
     tallies: dict,
     witnesses: list[dict],
 ) -> None:
-    """Edge-by-edge validator sweep; only called on certified hosts, with
-    each edge's certificate (a coloring of g minus the edge) as the start
-    of its sampling walk.  Each edge is sampled just before its suites,
-    so a sampling timeout keeps the earlier edges' tallies and names its
-    own edge.  A sample that repeats an earlier coloring of its edge
-    replays that coloring's tallies and witnesses instead of running the
-    suites again."""
+    """Edge-by-edge validator sweep; only called on certified hosts.  Each
+    edge is sampled just before its suites, so a sampling timeout keeps
+    the earlier edges' tallies and names its own edge.  A sample that
+    repeats an earlier coloring of its edge replays that coloring's
+    tallies and witnesses instead of running the suites again."""
     per_edge: dict[tuple[int, int], list] = {}
     for e in g.edges:
         x, y = e
@@ -270,12 +276,9 @@ def _critical_suites(
             if _tally(tallies, "val", verdict.status):
                 witnesses.append(_witness(g6, (p, q), None, "val", verdict.detail))
         seed = _edge_seed(config.seed, g6, e)
-        start = PartialEdgeColoring.from_assignment(
-            g, g.max_degree, dict(certificates[e].edge_items()), hole=e
-        )
         try:
             per_edge[e] = oracle.sample_colorings(
-                g, e, config.samples, seed, timeout_ms=config.timeout_ms, start=start
+                g, e, config.samples, seed, timeout_ms=config.timeout_ms
             )
         except oracle.OracleTimeout as exc:
             raise oracle.OracleTimeout(f"sampling edge {e}: {exc}") from exc
@@ -324,7 +327,6 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
     classify_ms = 0.0
     chi = None
     critical = False
-    certificates: dict = {}
     ov_field = None
     if g.n:
         ov = overfull.is_overfull(g)
@@ -340,7 +342,7 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
             try:
                 chi = oracle.chromatic_index(g, timeout_ms=config.timeout_ms)
                 critical = oracle.is_delta_critical(
-                    g, chi=chi, timeout_ms=config.timeout_ms, certificates=certificates
+                    g, chi=chi, timeout_ms=config.timeout_ms
                 )
             finally:
                 classify_ms = (perf_counter() - t0) * 1000
@@ -372,7 +374,7 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
         else:
             record["theorem1"] = {"status": INAPPLICABLE, "detail": "empty graph"}
         if critical:
-            _critical_suites(g, g6, config, certificates, tallies, witnesses)
+            _critical_suites(g, g6, config, tallies, witnesses)
     except oracle.OracleTimeout as exc:
         record.setdefault("overfull", ov_field)
         error = f"oracle budget exceeded: {exc}"
@@ -460,10 +462,6 @@ def run_census(
     only annotates that graph's record; the run continues.
     """
     config = config or CensusConfig()
-    if config.samples < 1:
-        raise ValueError(f"need at least one sample per edge, got {config.samples}")
-    if config.timeout_ms <= 0:
-        raise ValueError(f"timeout must be positive, got {config.timeout_ms}")
     lines = _corpus_lines(corpus)
     corpus_hash = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     # A record depends only on the graph and the config, so each distinct

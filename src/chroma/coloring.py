@@ -436,7 +436,14 @@ class PartialEdgeColoring:
 
     @classmethod
     def from_json_obj(cls, graph: Graph, obj: dict) -> "PartialEdgeColoring":
-        hole = tuple(obj["uncolored"]) if obj.get("uncolored") else None
+        k, hole = obj["k"], obj.get("uncolored")
+        if type(k) is not int:
+            raise ValueError(f"k is {k!r}, not an int")
+        if hole is not None:
+            pair = type(hole) is list and len(hole) == 2
+            if not (pair and all(type(x) is int for x in hole)):
+                raise ValueError(f"uncolored is {hole!r}, not null or a pair of ints")
+            hole = tuple(hole)
         listed = {}
         for u, v, color in obj["edges"]:
             e = _normalize_edge(u, v)
@@ -447,7 +454,7 @@ class PartialEdgeColoring:
             listed[e] = color
         if set(listed) != set(graph.edges):
             raise ValueError("serialized edge set does not match the graph")
-        c = cls.from_assignment(graph, int(obj["k"]), listed, hole)
+        c = cls.from_assignment(graph, k, listed, hole)
         if hole is not None and c.color(*hole):
             raise ValueError(f"uncolored edge {hole} has a color in the edge list")
         return c

@@ -83,12 +83,11 @@ def _check_budget(timeout_ms: int | None) -> None:
 def _search(
     g: Graph,
     k: int,
-    hole: tuple[int, int] | None,
     preset: dict[tuple[int, int], int] | None,
     rng: random.Random | None,
     timeout_ms: int | None,
 ) -> PartialEdgeColoring | None:
-    """Find a proper k-edge-coloring of g (minus ``hole``), else None.
+    """Find a proper k-edge-coloring of g, else None.
 
     ``preset`` pins edge colors before the search.  ``rng`` randomizes the
     branch order; no caller passes both.  Only a plain decision (no
@@ -115,12 +114,9 @@ def _search(
 
     if preset:
         for (u, v), color in sorted(preset.items()):
-            e = _normalize_edge(u, v)
-            if e == hole:
-                raise ValueError(f"preset colors the designated hole {hole}")
             if not 1 <= color <= k:
                 raise ValueError(f"preset color {color} outside 1..{k}")
-            if not pin(*e, color):
+            if not pin(*_normalize_edge(u, v), color):
                 return None
 
     if rng is None and preset is None:
@@ -129,18 +125,11 @@ def _search(
         vstar = max(range(g.n), key=lambda v: (degs[v], -v))
         color = 0
         for w in g.neighbors(vstar):
-            e = _normalize_edge(vstar, w)
-            if e == hole:
-                continue
             color += 1
-            if color > k or not pin(*e, color):
+            if color > k or not pin(*_normalize_edge(vstar, w), color):
                 return None
 
-    todo = [
-        e
-        for e in g.edges
-        if e != hole and e not in assignment
-    ]
+    todo = [e for e in g.edges if e not in assignment]
     todo.sort(key=lambda e: (-(degs[e[0]] + degs[e[1]]), e))
     # Each color class is a matching, so color c covers at most floor(f/2)
     # more edges, f being the vertices still free for c.  Summed over the
@@ -206,24 +195,15 @@ def _search(
         return False
 
     if rec(0):
-        return PartialEdgeColoring.from_assignment(g, k, assignment, hole=hole)
+        return PartialEdgeColoring.from_assignment(g, k, assignment)
     return None
 
 
 def decide_colorable(
-    g: Graph,
-    k: int,
-    *,
-    hole: tuple[int, int] | None = None,
-    timeout_ms: int | None = DEFAULT_TIMEOUT_MS,
+    g: Graph, k: int, *, timeout_ms: int | None = DEFAULT_TIMEOUT_MS
 ) -> PartialEdgeColoring | None:
-    """A proper k-edge-coloring of g (minus ``hole``) or None if impossible.
-
-    Raises ValueError when ``hole``, in either orientation, is not an edge.
-    """
-    if hole is not None:
-        hole = _edge_of(g, hole)
-    return _search(g, k, hole, None, None, timeout_ms)
+    """A proper k-edge-coloring of g, or None if impossible."""
+    return _search(g, k, None, None, timeout_ms)
 
 
 def chromatic_index(
@@ -255,10 +235,11 @@ def _certificate(
 ) -> PartialEdgeColoring | None:
     """A max-degree coloring of the graph g minus ``e``, or None.
 
-    The search runs on the smaller graph, never on g with ``e`` as its
-    hole.  The two differ in edge order and symmetry pin, and on
-    subdivided K10 the hole form's searches took 51.2 s against about
-    3 s for all 46 of these (2-vCPU VM, Python 3.11).
+    This plain deterministic search both certifies ``e`` critical and
+    starts the sampler's walk on ``e``, so the two always agree.  It runs
+    on the smaller graph: a search of g with ``e`` as a hole differs in
+    edge order and symmetry pin, and on subdivided K10 such searches took
+    51.2 s against about 3 s for all 46 of these (2-vCPU VM, Python 3.11).
     """
     return decide_colorable(g.without_edge(*e), g.max_degree, timeout_ms=timeout_ms)
 
@@ -289,15 +270,11 @@ def is_delta_critical(
     *,
     chi: ChiResult | None = None,
     timeout_ms: int | None = DEFAULT_TIMEOUT_MS,
-    certificates: dict | None = None,
 ) -> bool:
     """True when g is connected, class 2, and every edge is critical.
 
     The edges are certified in order and the first non-critical one ends
-    the loop.  When ``certificates`` is a dict, each certified edge's
-    coloring of g minus that edge is stored in it under the edge, ready
-    to start :func:`sample_colorings` from; after a False answer it may
-    hold some edges or none.
+    the loop.
     """
     if g.m == 0 or not g.is_connected():
         return False
@@ -305,13 +282,7 @@ def is_delta_critical(
         chi = chromatic_index(g, timeout_ms=timeout_ms)
     if chi.classification != "class2":
         return False
-    for e in g.edges:
-        found = _certificate(g, e, timeout_ms)
-        if found is None:
-            return False
-        if certificates is not None:
-            certificates[e] = found
-    return True
+    return all(_certificate(g, e, timeout_ms) is not None for e in g.edges)
 
 
 def _sample_rng(seed: int, index: int) -> random.Random:
@@ -349,7 +320,6 @@ def sample_colorings(
     seed: int,
     *,
     timeout_ms: int | None = DEFAULT_TIMEOUT_MS,
-    start: PartialEdgeColoring | None = None,
 ) -> list[PartialEdgeColoring]:
     """``count`` proper max-degree colorings of g minus ``e``.
 
@@ -360,51 +330,36 @@ def sample_colorings(
     component.  Kempe swaps need not connect every such coloring, so
     every ``_WALK_RESTART`` samples the walk restarts from a randomized
     backtracking search on g minus ``e``, seeded by the run seed and the
-    sample's index.  The first block starts from ``start``: a complete
-    ``g.max_degree``-coloring of g with hole ``e``, such as the census
-    lifts from the certificate that :func:`is_delta_critical` stored.
-    Without ``start`` the graph minus ``e`` is certified here, and the
-    list is the same as when that certificate is passed in.
+    sample's index.  The first block starts from the certificate of ``e``:
+    the same plain search of g minus ``e`` that :func:`is_delta_critical`
+    runs, so a census certifies each sampled edge twice.
 
-    The list is deterministic for a given (seed, count, start) and is a
-    prefix of a longer run with the same seed and start.  Every sample is
-    its own object, never changed once made.  Diversity across seeds is
-    all that is promised; the distribution is not uniform.
+    The list is deterministic for a given (seed, count) and is a prefix
+    of a longer run with the same seed.  Every sample is its own object,
+    never changed once made.  Diversity across seeds is all that is
+    promised; the distribution is not uniform.
 
     Raises UncolorableError when no such coloring exists (``e`` was not a
-    critical edge), ValueError when ``start`` is not such a coloring, and
-    OracleTimeout if a search exceeds its budget.
+    critical edge) and OracleTimeout if a search exceeds its budget.
     """
     hole = _edge_of(g, e)
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     _check_budget(timeout_ms)
-    delta = g.max_degree
-    if start is not None:
-        if not (
-            start.graph == g
-            and start.k == delta
-            and start.hole == hole
-            and start.is_complete
-        ):
-            raise ValueError(f"start is not a complete {delta}-coloring of g minus {hole}")
-    elif count:
-        found = _certificate(g, hole, timeout_ms)
-        if found is None:
-            raise UncolorableError(
-                f"no max-degree coloring of the graph minus {hole} exists"
-            )
-        start = _lift(g, hole, found)
     reduced = g.without_edge(*hole)
     out = []
     for i in range(count):
         if i % _WALK_RESTART == 0:
             rng = _sample_rng(seed, i)
             if i:
-                restart = _search(reduced, delta, None, None, rng, timeout_ms)
-                walk = _lift(g, hole, restart)
+                found = _search(reduced, g.max_degree, None, rng, timeout_ms)
             else:
-                walk = start.copy()
+                found = _certificate(g, hole, timeout_ms)
+                if found is None:
+                    raise UncolorableError(
+                        f"no max-degree coloring of the graph minus {hole} exists"
+                    )
+            walk = _lift(g, hole, found)
         for _ in range(_WALK_SWAPS):
             _kempe_step(walk, rng)
         out.append(walk.copy())
@@ -420,9 +375,15 @@ def complete_coloring(
 
     The assigned edges act as hard constraints and the rest are searched
     in the plain deterministic order, so the same input always gives the
-    same completion.  Useful for steering a coloring toward a wanted
-    missing-color pattern; for other completions, apply Kempe swaps
-    (``kempe_chain`` and ``swap``) to the result.
+    same completion.  A coloring with a hole is completed on the graph
+    minus that edge and lifted back, so ``complete_coloring(empty_partial(
+    g, e, k))`` is one k-coloring of g with hole ``e``.  Useful for steering
+    a coloring toward a wanted missing-color pattern; for other
+    completions, apply Kempe swaps (``kempe_chain`` and ``swap``) to the
+    result.
     """
     preset = {e: color for e, color in c.edge_items() if color and e != c.hole}
-    return _search(c.graph, c.k, c.hole, preset, None, timeout_ms)
+    if c.hole is None:
+        return _search(c.graph, c.k, preset, None, timeout_ms)
+    found = _search(c.graph.without_edge(*c.hole), c.k, preset, None, timeout_ms)
+    return None if found is None else _lift(c.graph, c.hole, found)

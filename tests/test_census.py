@@ -229,6 +229,10 @@ def test_run_census_config_validation():
         run_census("Bw\n", CensusConfig(samples=0))
     with pytest.raises(ValueError, match="timeout must be positive"):
         run_census("Bw\n", CensusConfig(timeout_ms=0))
+    # Zero samples would leave every per-coloring suite with no check and
+    # the record with no error, so the config itself refuses them.
+    with pytest.raises(ValueError, match="at least one sample"):
+        examine_graph("Bw", CensusConfig(samples=0))
 
 
 def test_run_census_empty_corpus():

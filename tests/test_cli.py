@@ -169,6 +169,8 @@ def test_error_exits(tmp_path, capsys):
     two = _write(tmp_path, "two.g6", "Bw\nC~\n")
     assert main(["chi", two]) == 2
     assert "expected one graph, found 2" in capsys.readouterr().err
+    assert main(["census", "--samples", "0", two]) == 2
+    assert "at least one sample" in capsys.readouterr().err
 
 
 def test_unknown_command_usage_error(capsys):

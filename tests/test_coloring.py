@@ -299,6 +299,24 @@ def test_json_rejects_a_color_that_is_not_an_int(color):
         PartialEdgeColoring.from_json_obj(families.cycle(5), obj)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("k", 2.7),
+        ("k", "2"),
+        ("uncolored", [0, "1"]),
+        ("uncolored", [0, 1, 2]),
+        ("uncolored", 5),
+    ],
+    ids=repr,
+)
+def test_json_rejects_a_malformed_k_or_uncolored(field, value):
+    obj = _p4().to_json_obj()
+    obj[field] = value
+    with pytest.raises(ValueError, match=f"^{field} is "):
+        PartialEdgeColoring.from_json_obj(_P4, obj)
+
+
 def test_check_proper_detects_drift():
     c = _p4()
     i = _P4.edge_index(2, 3)

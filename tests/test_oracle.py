@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from itertools import product
 
 import pytest
 
@@ -18,6 +19,7 @@ from chroma import (
     families,
     is_critical_edge,
     is_delta_critical,
+    parse_graph6,
     sample_colorings,
 )
 
@@ -54,17 +56,7 @@ def test_decide_colorable():
     assert decide_colorable(families.complete(3), 2) is None
     c = decide_colorable(families.complete(3), 3)
     assert c is not None and c.is_complete
-    holey = decide_colorable(families.cycle(5), 2, hole=(0, 1))
-    assert holey is not None
-    assert holey.color(0, 1) == 0
-    assert holey.colored_count == 4
-    # The hole is an edge in either orientation, and must be in the graph.
-    for hole in ((0, 2), (2, 0)):
-        c = decide_colorable(families.complete(3), 2, hole=hole)
-        assert c is not None and c.hole == (0, 2)
-        assert c.color(0, 2) == 0
-    with pytest.raises(ValueError, match="not in graph"):
-        decide_colorable(families.cycle(5), 2, hole=(0, 2))
+    assert c.hole is None
 
 
 def test_timeout_budget():
@@ -173,6 +165,22 @@ def test_complete_coloring_respects_presets():
     assert done.check_proper() == []
 
 
+def test_complete_coloring_leaves_the_hole_uncolored():
+    holey = complete_coloring(empty_partial(families.cycle(5), (0, 1), 2))
+    assert holey is not None
+    assert holey.hole == (0, 1)
+    assert holey.color(0, 1) == 0
+    assert holey.colored_count == 4
+    assert holey.is_complete and holey.check_proper() == []
+    # The hole is an edge in either orientation, and must be in the graph.
+    for hole in ((0, 2), (2, 0)):
+        c = complete_coloring(empty_partial(families.complete(3), hole, 2))
+        assert c is not None and c.hole == (0, 2)
+        assert c.color(0, 2) == 0
+    with pytest.raises(ValueError, match="not in graph"):
+        complete_coloring(empty_partial(families.cycle(5), (0, 2), 2))
+
+
 def test_complete_coloring_infeasible_preset():
     g = families.cycle(4)
     # Opposite edges forced onto different colors leave the other two
@@ -195,18 +203,11 @@ def _colors(c: PartialEdgeColoring) -> tuple[int, ...]:
     return tuple(color for _, color in c.edge_items())
 
 
-def _certified_starts(g: Graph) -> dict:
-    """Each edge's certificate from is_delta_critical, lifted to g with
-    that edge as the hole, the way the census starts its walks."""
-    certificates: dict = {}
-    assert is_delta_critical(g, certificates=certificates)
-    assert list(certificates) == list(g.edges)
-    return {
-        e: PartialEdgeColoring.from_assignment(
-            g, g.max_degree, dict(c.edge_items()), hole=e
-        )
-        for e, c in certificates.items()
-    }
+def _renamed(colors) -> tuple[int, ...]:
+    """``colors`` with the colors renamed 1, 2, ... in order of first use,
+    so two colorings that differ by a renaming of colors compare equal."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(c, len(first) + 1) for c in colors)
 
 
 def test_walk_samples_are_proper_near_colorings():
@@ -220,44 +221,54 @@ def test_walk_samples_are_proper_near_colorings():
                 assert c.k == g.max_degree
 
 
-def test_walk_prefix_and_explicit_start():
+def test_walk_prefix():
     for g in _WALK_HOSTS:
-        starts = _certified_starts(g)
         for e in g.edges:
             full = [_colors(c) for c in sample_colorings(g, e, 25, seed=5)]
             for count in (1, 10, 11, 24):
                 prefix = sample_colorings(g, e, count, seed=5)
                 assert [_colors(c) for c in prefix] == full[:count]
-            given = sample_colorings(g, e, 25, seed=5, start=starts[e])
-            assert [_colors(c) for c in given] == full
 
 
 def test_walk_never_changes_a_returned_sample():
     g = families.subdivided_complete(4)
     e = g.edges[0]
-    start = _certified_starts(g)[e]
-    before = _colors(start)
-    samples = sample_colorings(g, e, 25, seed=9, start=start)
-    assert _colors(start) == before
+    samples = sample_colorings(g, e, 25, seed=9)
     assert len({id(c) for c in samples}) == len(samples)
     # Sample i of a run that went on equals the last sample of a run that
     # stopped right after it.
     for i, c in enumerate(samples):
-        last = sample_colorings(g, e, i + 1, seed=9, start=start)[-1]
+        last = sample_colorings(g, e, i + 1, seed=9)[-1]
         assert _colors(c) == _colors(last)
     assert len(set(map(_colors, samples))) > 1
 
 
-def test_walk_refuses_a_bad_start_or_a_non_critical_edge():
-    g = families.cycle(5)
-    start = _certified_starts(g)[(0, 1)]
-    with pytest.raises(ValueError, match="start is not"):
-        sample_colorings(g, (1, 2), 1, seed=0, start=start)
-    with pytest.raises(ValueError, match="start is not"):
-        sample_colorings(families.cycle(7), (0, 1), 1, seed=0, start=start)
-    shell = empty_partial(g, (0, 1), 2)
-    with pytest.raises(ValueError, match="start is not"):
-        sample_colorings(g, (0, 1), 1, seed=0, start=shell)
+def test_walk_restarts_reach_another_kempe_class():
+    # D]w is K_{2,3} plus the edge (2, 4).  Up to renaming colors, K_{2,3}
+    # has exactly two 3-edge-colorings, and no Kempe swap moves between
+    # them, so only the restart after sample 9 can reach the second one.
+    g = parse_graph6("D]w")
+    e = (2, 4)
+    k23 = g.without_edge(*e)
+    assert sorted(k23.degrees) == [2, 2, 2, 3, 3] and k23.m == 6
+    # A coloring is proper when no vertex sees a color twice, that is when
+    # its 6 edges give 12 distinct (vertex, color) pairs.
+    classes = {
+        _renamed(colors)
+        for colors in product(range(1, 4), repeat=k23.m)
+        if len({(x, c) for ends, c in zip(k23.edges, colors) for x in ends}) == 12
+    }
+    assert len(classes) == 2
+    samples = sample_colorings(g, e, 20, seed=0)
+    blocks = [
+        {_renamed(c.color(u, v) for u, v in k23.edges) for c in samples[i : i + 10]}
+        for i in (0, 10)
+    ]
+    assert blocks[0] | blocks[1] == classes
+    assert len(blocks[0]) == len(blocks[1]) == 1
+
+
+def test_walk_refuses_a_non_critical_edge():
     for host in (families.petersen(), families.complete(5)):
         with pytest.raises(UncolorableError, match="no max-degree coloring"):
             sample_colorings(host, host.edges[0], 5, seed=0)
