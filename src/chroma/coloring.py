@@ -126,10 +126,6 @@ class PartialEdgeColoring:
     def hole(self) -> tuple[int, int] | None:
         return self._hole
 
-    @property
-    def full_mask(self) -> int:
-        return self._full
-
     def color(self, u: int, v: int) -> int:
         return self._colors[self._graph.edge_index(u, v)]
 
@@ -209,20 +205,6 @@ class PartialEdgeColoring:
         self._present[v] |= bit
         self._slot[u][color] = v
         self._slot[v][color] = u
-
-    def _unassign(self, u: int, v: int) -> int:
-        i = self._graph.edge_index(u, v)
-        color = self._colors[i]
-        if not color:
-            raise ValueError(f"edge ({u}, {v}) is not colored")
-        bit = 1 << color
-        self._colors[i] = 0
-        self._count -= 1
-        self._present[u] &= ~bit
-        self._present[v] &= ~bit
-        self._slot[u][color] = -1
-        self._slot[v][color] = -1
-        return color
 
     @classmethod
     def from_assignment(
@@ -436,7 +418,10 @@ class PartialEdgeColoring:
 
     @classmethod
     def from_json_obj(cls, graph: Graph, obj: dict) -> "PartialEdgeColoring":
-        k, hole = obj["k"], obj.get("uncolored")
+        for field in ("k", "edges"):
+            if field not in obj:
+                raise ValueError(f"witness has no {field!r} field")
+        k, hole, entries = obj["k"], obj.get("uncolored"), obj["edges"]
         if type(k) is not int:
             raise ValueError(f"k is {k!r}, not an int")
         if hole is not None:
@@ -444,8 +429,16 @@ class PartialEdgeColoring:
             if not (pair and all(type(x) is int for x in hole)):
                 raise ValueError(f"uncolored is {hole!r}, not null or a pair of ints")
             hole = tuple(hole)
+        if type(entries) is not list:
+            raise ValueError(f"edges is {entries!r}, not a list")
         listed = {}
-        for u, v, color in obj["edges"]:
+        for entry in entries:
+            triple = type(entry) is list and len(entry) == 3
+            if not (triple and all(type(x) is int for x in entry[:2])):
+                raise ValueError(
+                    f"edges entry {entry!r} is not [u, v, color] with int endpoints"
+                )
+            u, v, color = entry
             e = _normalize_edge(u, v)
             if e in listed:
                 raise ValueError(f"edge {e} listed twice")

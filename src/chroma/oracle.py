@@ -2,23 +2,25 @@
 
 Everything here is brute force on purpose: a backtracking search over edge
 colorings is the ground truth that the structure validators are measured
-against, so it must not borrow results from the theory it checks.  Edges
-are colored in decreasing endpoint-degree-sum order; for plain decisions
-the colors of one maximum-degree vertex's edges are fixed up front to
-break color symmetry.  The one counting argument used is the one behind
-``is_overfull``: each color class is a matching, so a search whose edges
-outnumber the matching capacity left after those pins fails before it
-branches.  Searches carry a wall-clock budget and report expiry as
-:class:`OracleTimeout`, never as a class-1/class-2 answer.
+against, so it must not borrow results from the theory it checks.  There
+is one search, and it draws no random numbers.  Edges are colored in
+decreasing endpoint-degree-sum order, ties by vertex label; without
+presets the colors of one maximum-degree vertex's edges are fixed up
+front to break color symmetry.  The one counting argument used is the
+one behind ``is_overfull``: each color class is a matching, so a search
+whose edges outnumber the matching capacity left after those pins fails
+before it branches.  The sampler varies its restarts by renaming the
+vertices before a search.  Searches carry a wall-clock budget and report
+expiry as :class:`OracleTimeout`, never as a class-1/class-2 answer.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import groupby
 from operator import xor
 
 from .coloring import PartialEdgeColoring
@@ -43,11 +45,12 @@ DEFAULT_TIMEOUT_MS = 10_000
 _CHECK_INTERVAL = 4096
 
 # The sampler's Kempe walk: whole-component swaps per sample, and samples
-# between restarts from a fresh randomized search.  SAMPLER names them in
-# census metadata, so a report says which sample stream it was built on.
+# between restarts from the search of a randomly relabelled graph.  SAMPLER
+# names them in census metadata, so a report says which sample stream it
+# was built on.
 _WALK_SWAPS = 3
 _WALK_RESTART = 10
-SAMPLER = f"kempe-walk-r{_WALK_RESTART}-s{_WALK_SWAPS}"
+SAMPLER = f"kempe-walk-relabel-r{_WALK_RESTART}-s{_WALK_SWAPS}"
 
 
 class OracleTimeout(Exception):
@@ -84,17 +87,16 @@ def _search(
     g: Graph,
     k: int,
     preset: dict[tuple[int, int], int] | None,
-    rng: random.Random | None,
     timeout_ms: int | None,
 ) -> PartialEdgeColoring | None:
     """Find a proper k-edge-coloring of g, else None.
 
-    ``preset`` pins edge colors before the search.  ``rng`` randomizes the
-    branch order; no caller passes both.  Only a plain decision (no
-    ``rng``, no ``preset``) breaks color symmetry: with a preset the colors
-    are no longer interchangeable, and with an rng it would restrict the
-    reachable colorings.  Raises OracleTimeout when ``timeout_ms`` (None
-    for no budget) runs out.
+    ``preset`` pins edge colors before the search.  Without one, the
+    search breaks color symmetry by pinning the colors at a max-degree
+    vertex; with one the colors are no longer interchangeable.  The
+    search is deterministic: the same graph, palette and presets always
+    give the same coloring.  Raises OracleTimeout when ``timeout_ms``
+    (None for no budget) runs out.
     """
     _check_budget(timeout_ms)
     deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
@@ -119,7 +121,7 @@ def _search(
             if not pin(*_normalize_edge(u, v), color):
                 return None
 
-    if rng is None and preset is None:
+    if preset is None:
         # Any proper coloring can be renamed so one max-degree vertex sees
         # colors 1..d in neighbor order, so pinning them loses nothing.
         vstar = max(range(g.n), key=lambda v: (degs[v], -v))
@@ -138,15 +140,6 @@ def _search(
     free = sum(a.bit_count() for a in avail)
     if 2 * len(todo) > free - reduce(xor, avail, 0).bit_count():
         return None
-    if rng is not None:
-        # Shuffle within equal-priority groups: keeps the dense-first shape
-        # of the search but varies which coloring is reached first.
-        grouped: list[tuple[int, int]] = []
-        for _, chunk in groupby(todo, key=lambda e: degs[e[0]] + degs[e[1]]):
-            chunk = list(chunk)
-            rng.shuffle(chunk)
-            grouped.extend(chunk)
-        todo = grouped
 
     nodes = 0
 
@@ -160,31 +153,9 @@ def _search(
             return True
         u, v = todo[i]
         cand = avail[u] & avail[v]
-        if not cand:
-            return False
-        if rng is None:
-            while cand:
-                bit = cand & -cand
-                cand ^= bit
-                avail[u] &= ~bit
-                avail[v] &= ~bit
-                if rec(i + 1):
-                    assignment[(u, v)] = bit.bit_length() - 1
-                    return True
-                avail[u] |= bit
-                avail[v] |= bit
-            return False
-        # A shuffle of fewer than two items draws nothing from the rng.
-        if cand & (cand - 1):
-            bits = []
-            while cand:
-                bit = cand & -cand
-                cand ^= bit
-                bits.append(bit)
-            rng.shuffle(bits)
-        else:
-            bits = (cand,)
-        for bit in bits:
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
             avail[u] &= ~bit
             avail[v] &= ~bit
             if rec(i + 1):
@@ -203,7 +174,7 @@ def decide_colorable(
     g: Graph, k: int, *, timeout_ms: int | None = DEFAULT_TIMEOUT_MS
 ) -> PartialEdgeColoring | None:
     """A proper k-edge-coloring of g, or None if impossible."""
-    return _search(g, k, None, None, timeout_ms)
+    return _search(g, k, None, timeout_ms)
 
 
 def chromatic_index(
@@ -235,8 +206,9 @@ def _certificate(
 ) -> PartialEdgeColoring | None:
     """A max-degree coloring of the graph g minus ``e``, or None.
 
-    This plain deterministic search both certifies ``e`` critical and
-    starts the sampler's walk on ``e``, so the two always agree.  It runs
+    This plain deterministic search certifies ``e`` critical, and the
+    sampler's walk on ``e`` starts from the same search (``_walk_start``
+    under the identity labelling), so the two always agree.  It runs
     on the smaller graph: a search of g with ``e`` as a hole differs in
     edge order and symmetry pin, and on subdivided K10 such searches took
     51.2 s against about 3 s for all 46 of these (2-vCPU VM, Python 3.11).
@@ -291,10 +263,32 @@ def _sample_rng(seed: int, index: int) -> random.Random:
 
 
 def _lift(
-    g: Graph, hole: tuple[int, int], c: PartialEdgeColoring
+    g: Graph, hole: tuple[int, int], c: PartialEdgeColoring, label: Sequence[int]
 ) -> PartialEdgeColoring:
-    """``c``, a coloring of g minus ``hole``, as a coloring of g with that hole."""
-    return PartialEdgeColoring.from_assignment(g, c.k, dict(c.edge_items()), hole=hole)
+    """``c``, a coloring of g minus ``hole`` in which each vertex v of g is
+    named ``label[v]``, as a coloring of g with that hole."""
+    colors = {e: c.color(label[e[0]], label[e[1]]) for e in g.edges if e != hole}
+    return PartialEdgeColoring.from_assignment(g, c.k, colors, hole=hole)
+
+
+def _walk_start(
+    g: Graph, hole: tuple[int, int], label: list[int], timeout_ms: int | None
+) -> PartialEdgeColoring:
+    """The plain search of g minus ``hole`` with each vertex v renamed
+    ``label[v]``, as a coloring of g with that hole.
+
+    Renaming keeps the search's shape (symmetry pin, dense-first edge
+    order) and changes only how its ties break, so a random ``label``
+    reaches another coloring at the cost of a certificate search.  The
+    identity ``label`` gives the certificate itself.
+    """
+    renamed = Graph(g.n, ((label[u], label[v]) for u, v in g.edges if (u, v) != hole))
+    found = decide_colorable(renamed, g.max_degree, timeout_ms=timeout_ms)
+    if found is None:
+        raise UncolorableError(
+            f"no max-degree coloring of the graph minus {hole} exists"
+        )
+    return _lift(g, hole, found, label)
 
 
 def _kempe_step(c: PartialEdgeColoring, rng: random.Random) -> None:
@@ -328,11 +322,13 @@ def sample_colorings(
     more steps; a step picks an anchor vertex, a color alpha present there
     and a second color beta, and exchanges that whole (alpha, beta)
     component.  Kempe swaps need not connect every such coloring, so
-    every ``_WALK_RESTART`` samples the walk restarts from a randomized
-    backtracking search on g minus ``e``, seeded by the run seed and the
-    sample's index.  The first block starts from the certificate of ``e``:
-    the same plain search of g minus ``e`` that :func:`is_delta_critical`
-    runs, so a census certifies each sampled edge twice.
+    every ``_WALK_RESTART`` samples the walk restarts from the plain
+    search of g minus ``e`` under a random relabelling of its vertices,
+    drawn from the run seed and the sample's index.  The first block
+    keeps the identity labelling, so it starts from the certificate of
+    ``e``: the same plain search of g minus ``e`` that
+    :func:`is_delta_critical` runs, so a census certifies each sampled
+    edge twice.
 
     The list is deterministic for a given (seed, count) and is a prefix
     of a longer run with the same seed.  Every sample is its own object,
@@ -346,20 +342,14 @@ def sample_colorings(
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     _check_budget(timeout_ms)
-    reduced = g.without_edge(*hole)
     out = []
     for i in range(count):
         if i % _WALK_RESTART == 0:
             rng = _sample_rng(seed, i)
+            label = list(range(g.n))
             if i:
-                found = _search(reduced, g.max_degree, None, rng, timeout_ms)
-            else:
-                found = _certificate(g, hole, timeout_ms)
-                if found is None:
-                    raise UncolorableError(
-                        f"no max-degree coloring of the graph minus {hole} exists"
-                    )
-            walk = _lift(g, hole, found)
+                rng.shuffle(label)
+            walk = _walk_start(g, hole, label, timeout_ms)
         for _ in range(_WALK_SWAPS):
             _kempe_step(walk, rng)
         out.append(walk.copy())
@@ -384,6 +374,6 @@ def complete_coloring(
     """
     preset = {e: color for e, color in c.edge_items() if color and e != c.hole}
     if c.hole is None:
-        return _search(c.graph, c.k, preset, None, timeout_ms)
-    found = _search(c.graph.without_edge(*c.hole), c.k, preset, None, timeout_ms)
-    return None if found is None else _lift(c.graph, c.hole, found)
+        return _search(c.graph, c.k, preset, timeout_ms)
+    found = _search(c.graph.without_edge(*c.hole), c.k, preset, timeout_ms)
+    return None if found is None else _lift(c.graph, c.hole, found, range(c.graph.n))

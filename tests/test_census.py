@@ -163,7 +163,7 @@ def test_run_census_sorts_and_summarizes():
     }
     assert report.metadata["seed"] == 0
     assert report.metadata["samples"] == 3
-    assert report.metadata["sampler"] == chroma.oracle.SAMPLER == "kempe-walk-r10-s3"
+    assert report.metadata["sampler"] == chroma.oracle.SAMPLER == "kempe-walk-relabel-r10-s3"
     assert not report.has_findings
 
 
@@ -281,7 +281,7 @@ def test_fixture_report_bytes_pinned(fixture_corpus):
     report = run_census(fixture_corpus, CensusConfig(seed=0, samples=100))
     text = report.to_json_lines(include_timings=False)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ec4c1e781e7ad57c0123b5d99ba99c1270acf461a6cebe87bdf1d37266b163c1"
+        "4da7d3fc754b9436e305ba6ab2bce8e9574afd239ac975b3bde53963fe7e6abf"
     )
 
 

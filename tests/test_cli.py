@@ -8,7 +8,7 @@ import json
 import pytest
 
 import chroma.fans
-from chroma import Verdict, VIOLATION, parse_graph6
+from chroma import Verdict, VIOLATION, families, parse_graph6, to_graph6
 from chroma.cli import main
 
 
@@ -151,9 +151,11 @@ def test_verify_lemmas_single_graph(tmp_path, capsys):
 
 
 def test_verify_lemmas_error_without_findings_exits_3(tmp_path, capsys):
-    # Proving the subdivided K8 class 2 takes far more than the 4,096
-    # search nodes between deadline checks, so a 1 ms budget always expires.
-    path = _write(tmp_path, "k8sub.g6", "H^~~~~?\n")
+    # Subdivided K10 is refuted at Δ colors without search, but certifying
+    # its edges critical takes searches of far more than the 4,096 nodes
+    # between deadline checks, so a 1 ms budget always expires.
+    g6 = to_graph6(families.subdivided_complete(10))
+    path = _write(tmp_path, "k10sub.g6", g6 + "\n")
     assert main(["verify-lemmas", path, "--timeout-ms", "1"]) == 3
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
     assert summary["errors"] == 1

@@ -317,6 +317,25 @@ def test_json_rejects_a_malformed_k_or_uncolored(field, value):
         PartialEdgeColoring.from_json_obj(_P4, obj)
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"k": 2, "edges": [["0", 1, 1], [1, 2, 2]]}, r"^edges entry \['0', 1, 1\] is not"),
+        ({"k": 2, "edges": [5, [1, 2, 2]]}, r"^edges entry 5 is not"),
+        ({"k": 2, "edges": [[0, 1.0, 1], [1, 2, 2]]}, r"^edges entry \[0, 1\.0, 1\] is not"),
+        ({"edges": [[0, 1, 1], [1, 2, 2]]}, r"^witness has no 'k' field$"),
+        ({"k": 2}, r"^witness has no 'edges' field$"),
+        ({"k": 2, "edges": 5}, r"^edges is 5, not a list$"),
+    ],
+    ids=["str-endpoint", "int-entry", "float-endpoint", "no-k", "no-edges", "int-edges"],
+)
+def test_json_rejects_a_malformed_entry_or_missing_field(obj, message):
+    # Each object is {"k": 2, "edges": [[0, 1, 1], [1, 2, 2]]}, a proper
+    # coloring of P3, with one entry or field broken.
+    with pytest.raises(ValueError, match=message):
+        PartialEdgeColoring.from_json_obj(families.path(3), obj)
+
+
 def test_check_proper_detects_drift():
     c = _p4()
     i = _P4.edge_index(2, 3)

@@ -21,7 +21,9 @@ from chroma import (
     is_delta_critical,
     parse_graph6,
     sample_colorings,
+    to_graph6,
 )
+from chroma.census import _edge_seed
 
 # Known chromatic indices, hand-checkable or classical.
 _GROUND_TRUTH = [
@@ -246,7 +248,7 @@ def test_walk_never_changes_a_returned_sample():
 def test_walk_restarts_reach_another_kempe_class():
     # D]w is K_{2,3} plus the edge (2, 4).  Up to renaming colors, K_{2,3}
     # has exactly two 3-edge-colorings, and no Kempe swap moves between
-    # them, so only the restart after sample 9 can reach the second one.
+    # them, so only a restart can reach the other one.
     g = parse_graph6("D]w")
     e = (2, 4)
     k23 = g.without_edge(*e)
@@ -259,13 +261,28 @@ def test_walk_restarts_reach_another_kempe_class():
         if len({(x, c) for ends, c in zip(k23.edges, colors) for x in ends}) == 12
     }
     assert len(classes) == 2
-    samples = sample_colorings(g, e, 20, seed=0)
+    samples = sample_colorings(g, e, 100, seed=0)
     blocks = [
         {_renamed(c.color(u, v) for u, v in k23.edges) for c in samples[i : i + 10]}
-        for i in (0, 10)
+        for i in range(0, 100, 10)
     ]
-    assert blocks[0] | blocks[1] == classes
-    assert len(blocks[0]) == len(blocks[1]) == 1
+    # The walk stays in one class between restarts, and the restarts
+    # between them reach both.
+    assert all(len(block) == 1 for block in blocks)
+    assert set().union(*blocks) == classes
+
+
+def test_walk_restarts_finish_in_the_papers_regime():
+    # Subdivided K10 meets the theorem's hypothesis, and its census at
+    # seed 0 samples edge (3, 4) from this seed.  Every restart must keep
+    # the symmetry pin: an unpinned search of this G − e runs for millions
+    # of nodes, past the default budget.
+    g = families.subdivided_complete(10)
+    e = (3, 4)
+    seed = _edge_seed(0, to_graph6(g), e)
+    samples = sample_colorings(g, e, 100, seed)
+    assert len(samples) == 100
+    assert all(c.is_complete and c.check_proper() == [] for c in samples)
 
 
 def test_walk_refuses_a_non_critical_edge():
@@ -277,7 +294,7 @@ def test_walk_refuses_a_non_critical_edge():
 # SHA-256 over the color lists of 20 samples (seed 17) on every edge of
 # four critical graphs.  The census reports are built from these streams,
 # so an edit to the sampler that moves them must fail here first.
-_SAMPLE_STREAM_SHA256 = "b7768c8e340c89831d1838831cb69f06a88475bbb2a8a4b6f44e57af78c414d2"
+_SAMPLE_STREAM_SHA256 = "73251c16c3908cd413d837c2475399d1d423ba000d0221c81d0730e7cda59029"
 
 
 def test_sample_stream_is_pinned():
