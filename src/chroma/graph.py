@@ -130,11 +130,35 @@ class Graph:
         return seen == full
 
     def without_edge(self, u: int, v: int) -> "Graph":
-        """A copy of this graph with edge ``uv`` removed."""
+        """A copy of this graph with edge ``uv`` removed.
+
+        It is built from this graph's fields, not through ``__init__``,
+        and equals ``Graph(n, edges - {uv})`` field for field.
+        """
         e = _normalize_edge(u, v)
-        if e not in self._edge_index:
+        i = self._edge_index.get(e)
+        if i is None:
             raise ValueError(f"edge {e} not in graph")
-        return Graph(self._n, (f for f in self._edges if f != e))
+        u, v = e
+        masks = list(self._adj_mask)
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+        neighbors = list(self._neighbors)
+        neighbors[u] = tuple(w for w in neighbors[u] if w != v)
+        neighbors[v] = tuple(w for w in neighbors[v] if w != u)
+        degrees = list(self._degrees)
+        degrees[u] -= 1
+        degrees[v] -= 1
+        edges = self._edges[:i] + self._edges[i + 1:]
+        g = object.__new__(Graph)
+        g._n = self._n
+        g._adj_mask = tuple(masks)
+        g._neighbors = tuple(neighbors)
+        g._degrees = tuple(degrees)
+        g._max_degree = max(degrees)
+        g._edges = edges
+        g._edge_index = {f: j for j, f in enumerate(edges)}
+        return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -9,16 +9,18 @@ presets the colors of one maximum-degree vertex's edges are fixed up
 front to break color symmetry.  The one counting argument used is the
 one behind ``is_overfull``: each color class is a matching, so a search
 whose edges outnumber the matching capacity left after those pins fails
-before it branches.  The sampler varies its restarts by renaming the
-vertices before a search.  Searches carry a wall-clock budget and report
-expiry as :class:`OracleTimeout`, never as a class-1/class-2 answer.
+before it branches.  The search returns a plain edge-to-color dict.
+Certifying an edge critical keeps only whether one exists, and each
+caller that hands out a coloring builds exactly one, on the graph it
+holds.  The sampler varies its restarts by renaming the vertices before
+a search.  Searches carry a wall-clock budget and report expiry as
+:class:`OracleTimeout`, never as a class-1/class-2 answer.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from operator import xor
@@ -88,8 +90,12 @@ def _search(
     k: int,
     preset: dict[tuple[int, int], int] | None,
     timeout_ms: int | None,
-) -> PartialEdgeColoring | None:
-    """Find a proper k-edge-coloring of g, else None.
+) -> dict[tuple[int, int], int] | None:
+    """A proper k-edge-coloring of g as an edge-to-color dict, else None.
+
+    The dict holds every edge of g.  Callers that hand out a coloring
+    build one :class:`PartialEdgeColoring` from it on the graph they
+    hold; a yes/no caller builds none.
 
     ``preset`` pins edge colors before the search.  Without one, the
     search breaks color symmetry by pinning the colors at a max-degree
@@ -142,6 +148,7 @@ def _search(
         return None
 
     nodes = 0
+    last = len(todo)
 
     def rec(i: int) -> bool:
         nonlocal nodes
@@ -149,7 +156,7 @@ def _search(
         if deadline is not None and nodes % _CHECK_INTERVAL == 0:
             if time.monotonic() > deadline:
                 raise OracleTimeout(f"search exceeded budget after {nodes} nodes")
-        if i == len(todo):
+        if i == last:
             return True
         u, v = todo[i]
         cand = avail[u] & avail[v]
@@ -165,16 +172,15 @@ def _search(
             avail[v] |= bit
         return False
 
-    if rec(0):
-        return PartialEdgeColoring.from_assignment(g, k, assignment)
-    return None
+    return assignment if rec(0) else None
 
 
 def decide_colorable(
     g: Graph, k: int, *, timeout_ms: int | None = DEFAULT_TIMEOUT_MS
 ) -> PartialEdgeColoring | None:
     """A proper k-edge-coloring of g, or None if impossible."""
-    return _search(g, k, None, timeout_ms)
+    found = _search(g, k, None, timeout_ms)
+    return None if found is None else PartialEdgeColoring.from_assignment(g, k, found)
 
 
 def chromatic_index(
@@ -201,19 +207,18 @@ def chromatic_index(
     return ChiResult(delta + 1, "class2", witness)
 
 
-def _certificate(
-    g: Graph, e: tuple[int, int], timeout_ms: int | None
-) -> PartialEdgeColoring | None:
-    """A max-degree coloring of the graph g minus ``e``, or None.
+def _certificate(g: Graph, e: tuple[int, int], timeout_ms: int | None) -> bool:
+    """True when the graph g minus ``e`` has a max-degree coloring.
 
-    This plain deterministic search certifies ``e`` critical, and the
-    sampler's walk on ``e`` starts from the same search (``_walk_start``
-    under the identity labelling), so the two always agree.  It runs
-    on the smaller graph: a search of g with ``e`` as a hole differs in
-    edge order and symmetry pin, and on subdivided K10 such searches took
+    This plain deterministic search certifies ``e`` critical and builds
+    no coloring: only its answer is kept.  The sampler's walk on ``e``
+    starts from the coloring the same search finds (``_walk_start`` under
+    the identity labelling), so the two always agree.  It runs on the
+    smaller graph: a search of g with ``e`` as a hole differs in edge
+    order and symmetry pin, and on subdivided K10 such searches took
     51.2 s against about 3 s for all 46 of these (2-vCPU VM, Python 3.11).
     """
-    return decide_colorable(g.without_edge(*e), g.max_degree, timeout_ms=timeout_ms)
+    return _search(g.without_edge(*e), g.max_degree, None, timeout_ms) is not None
 
 
 def is_critical_edge(
@@ -234,7 +239,7 @@ def is_critical_edge(
         chi = chromatic_index(g, timeout_ms=timeout_ms)
     if chi.classification != "class2":
         return False
-    return _certificate(g, e, timeout_ms) is not None
+    return _certificate(g, e, timeout_ms)
 
 
 def is_delta_critical(
@@ -254,21 +259,12 @@ def is_delta_critical(
         chi = chromatic_index(g, timeout_ms=timeout_ms)
     if chi.classification != "class2":
         return False
-    return all(_certificate(g, e, timeout_ms) is not None for e in g.edges)
+    return all(_certificate(g, e, timeout_ms) for e in g.edges)
 
 
 def _sample_rng(seed: int, index: int) -> random.Random:
     # Plain integer mixing; avoids hash() so streams are interpreter-stable.
     return random.Random((seed & 0xFFFFFFFFFFFFFFFF) * 1_000_003 + index)
-
-
-def _lift(
-    g: Graph, hole: tuple[int, int], c: PartialEdgeColoring, label: Sequence[int]
-) -> PartialEdgeColoring:
-    """``c``, a coloring of g minus ``hole`` in which each vertex v of g is
-    named ``label[v]``, as a coloring of g with that hole."""
-    colors = {e: c.color(label[e[0]], label[e[1]]) for e in g.edges if e != hole}
-    return PartialEdgeColoring.from_assignment(g, c.k, colors, hole=hole)
 
 
 def _walk_start(
@@ -280,15 +276,20 @@ def _walk_start(
     Renaming keeps the search's shape (symmetry pin, dense-first edge
     order) and changes only how its ties break, so a random ``label``
     reaches another coloring at the cost of a certificate search.  The
-    identity ``label`` gives the certificate itself.
+    identity ``label`` gives the certificate itself.  The search's
+    assignment is read back through ``label`` into one coloring of g
+    with the hole.
     """
     renamed = Graph(g.n, ((label[u], label[v]) for u, v in g.edges if (u, v) != hole))
-    found = decide_colorable(renamed, g.max_degree, timeout_ms=timeout_ms)
+    found = _search(renamed, g.max_degree, None, timeout_ms)
     if found is None:
         raise UncolorableError(
             f"no max-degree coloring of the graph minus {hole} exists"
         )
-    return _lift(g, hole, found, label)
+    colors = {
+        e: found[_normalize_edge(label[e[0]], label[e[1]])] for e in g.edges if e != hole
+    }
+    return PartialEdgeColoring.from_assignment(g, g.max_degree, colors, hole=hole)
 
 
 def _kempe_step(c: PartialEdgeColoring, rng: random.Random) -> None:
@@ -365,15 +366,17 @@ def complete_coloring(
 
     The assigned edges act as hard constraints and the rest are searched
     in the plain deterministic order, so the same input always gives the
-    same completion.  A coloring with a hole is completed on the graph
-    minus that edge and lifted back, so ``complete_coloring(empty_partial(
-    g, e, k))`` is one k-coloring of g with hole ``e``.  Useful for steering
-    a coloring toward a wanted missing-color pattern; for other
-    completions, apply Kempe swaps (``kempe_chain`` and ``swap``) to the
-    result.
+    same completion.  A coloring with a hole is searched on the graph
+    minus that edge, and the completion is built on ``c.graph`` with the
+    same hole, so ``complete_coloring(empty_partial(g, e, k))`` is one
+    k-coloring of g with hole ``e``.  Useful for steering a coloring
+    toward a wanted missing-color pattern; for other completions, apply
+    Kempe swaps (``kempe_chain`` and ``swap``) to the result.
     """
+    g = c.graph
     preset = {e: color for e, color in c.edge_items() if color and e != c.hole}
-    if c.hole is None:
-        return _search(c.graph, c.k, preset, timeout_ms)
-    found = _search(c.graph.without_edge(*c.hole), c.k, preset, timeout_ms)
-    return None if found is None else _lift(c.graph, c.hole, found, range(c.graph.n))
+    searched = g if c.hole is None else g.without_edge(*c.hole)
+    found = _search(searched, c.k, preset, timeout_ms)
+    if found is None:
+        return None
+    return PartialEdgeColoring.from_assignment(g, c.k, found, hole=c.hole)

@@ -57,6 +57,17 @@ def test_graph_rejects_bad_edges():
         Graph(-1)
 
 
+def _without_edge_hosts():
+    hosts = [g for _, g in families.basic_fixtures()]
+    rng = random.Random(7)
+    for n in (6, 8, 10):
+        for _ in range(3):
+            hosts.append(
+                Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+            )
+    return hosts
+
+
 def test_without_edge():
     g = families.cycle(4)
     h = g.without_edge(3, 0)
@@ -65,6 +76,30 @@ def test_without_edge():
     assert g.has_edge(0, 3)
     with pytest.raises(ValueError, match="not in graph"):
         h.without_edge(3, 0)
+    # The copy is built from the parent's fields, not rebuilt from its
+    # edges, and must equal the rebuilt graph in every field.
+    drops = 0
+    for g in _without_edge_hosts():
+        for e in g.edges:
+            h = g.without_edge(*reversed(e))
+            rebuilt = Graph(g.n, [f for f in g.edges if f != e])
+            assert h.edges == rebuilt.edges
+            assert h.degrees == rebuilt.degrees
+            assert h.max_degree == rebuilt.max_degree
+            for v in range(g.n):
+                assert h.neighbors(v) == rebuilt.neighbors(v)
+                assert h.adjacency_mask(v) == rebuilt.adjacency_mask(v)
+            for f in rebuilt.edges:
+                assert h.edge_index(*f) == rebuilt.edge_index(*f)
+            with pytest.raises(KeyError):
+                h.edge_index(*e)
+            assert h == rebuilt and hash(h) == hash(rebuilt)
+            drops += h.max_degree < g.max_degree
+            with pytest.raises(ValueError, match="not in graph"):
+                h.without_edge(*e)
+    # The max degree drops when the deleted edge ends at the only vertex
+    # of that degree, as on K2 and on some of the random graphs.
+    assert drops > 0
 
 
 def test_is_connected():
