@@ -265,9 +265,20 @@ def _critical_suites(
 ) -> None:
     """Edge-by-edge validator sweep; only called on certified hosts.  Each
     edge is sampled just before its suites, so a sampling timeout keeps
-    the earlier edges' tallies and names its own edge.  A sample that
-    repeats an earlier coloring of its edge replays that coloring's
-    tallies and witnesses instead of running the suites again."""
+    the earlier edges' tallies and names its own edge.
+
+    The suites run once per color-renaming class of an edge's samples.
+    Each suite's status depends only on missing-color sets, chain
+    linkage, tests for equal colors, and degrees.  Renaming the colors
+    keeps every Kierstead path, fork, short-kite and kite as the same
+    vertex tuple and keeps the multifan's vertex set, since the greedy
+    fan is a closure, so no tally changes.  A sample whose class already
+    ran replays that class's tallies.  The class key renames colors 1,
+    2, ... in order of first appearance along ``g.edges``; the hole keeps
+    0.  Two kinds of class replay only exact repeats of a color list: one
+    whose first run left a witness, whose detail names that coloring's
+    colors and vertices, and one where a ``kierstead5`` check applied,
+    since the five-vertex rewrite picks colors by their names."""
     per_edge: dict[tuple[int, int], list] = {}
     for e in g.edges:
         x, y = e
@@ -282,15 +293,26 @@ def _critical_suites(
             )
         except oracle.OracleTimeout as exc:
             raise oracle.OracleTimeout(f"sampling edge {e}: {exc}") from exc
+        # Exact color lists and renaming classes live in separate dicts, so
+        # a raw list never matches a renamed key.
         seen: dict[tuple[int, ...], tuple[list, list[tuple[str, str]]]] = {}
+        classes: dict[tuple[int, ...], tuple[list, list[tuple[str, str]]]] = {}
         for c in per_edge[e]:
             key = tuple(color for _, color in c.edge_items())
             if key not in seen:
-                once = {suite: _new_tally(suite) for suite in SUITES}
-                found: list[tuple[str, str]] = []
-                _coloring_suites(e, c, once, found)
-                counts = [(s, f, n) for s, t in once.items() for f, n in t.items() if n]
-                seen[key] = counts, found
+                names = {0: 0}
+                renamed = tuple([names.setdefault(x, len(names)) for x in key])
+                if renamed in classes:
+                    seen[key] = classes[renamed]
+                else:
+                    once = {suite: _new_tally(suite) for suite in SUITES}
+                    found: list[tuple[str, str]] = []
+                    _coloring_suites(e, c, once, found)
+                    counts = [(s, f, n) for s, t in once.items() for f, n in t.items() if n]
+                    seen[key] = counts, found
+                    k5 = once["kierstead5"]
+                    if not found and k5["checked"] == k5["inapplicable"]:
+                        classes[renamed] = seen[key]
             counts, found = seen[key]
             for suite, field, n in counts:
                 tallies[suite][field] += n

@@ -97,12 +97,13 @@ def _search(
     build one :class:`PartialEdgeColoring` from it on the graph they
     hold; a yes/no caller builds none.
 
-    ``preset`` pins edge colors before the search.  Without one, the
-    search breaks color symmetry by pinning the colors at a max-degree
-    vertex; with one the colors are no longer interchangeable.  The
-    search is deterministic: the same graph, palette and presets always
-    give the same coloring.  Raises OracleTimeout when ``timeout_ms``
-    (None for no budget) runs out.
+    ``preset`` pins edge colors before the search.  Without one, or with
+    an empty one, the search breaks color symmetry by pinning the colors
+    at a max-degree vertex; a preset that colors any edge makes the
+    colors no longer interchangeable.  The search is deterministic: the
+    same graph, palette and presets always give the same coloring.
+    Raises OracleTimeout when ``timeout_ms`` (None for no budget) runs
+    out.
     """
     _check_budget(timeout_ms)
     deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
@@ -126,8 +127,7 @@ def _search(
                 raise ValueError(f"preset color {color} outside 1..{k}")
             if not pin(*_normalize_edge(u, v), color):
                 return None
-
-    if preset is None:
+    else:
         # Any proper coloring can be renamed so one max-degree vertex sees
         # colors 1..d in neighbor order, so pinning them loses nothing.
         vstar = max(range(g.n), key=lambda v: (degs[v], -v))
@@ -369,9 +369,11 @@ def complete_coloring(
     same completion.  A coloring with a hole is searched on the graph
     minus that edge, and the completion is built on ``c.graph`` with the
     same hole, so ``complete_coloring(empty_partial(g, e, k))`` is one
-    k-coloring of g with hole ``e``.  Useful for steering a coloring
-    toward a wanted missing-color pattern; for other completions, apply
-    Kempe swaps (``kempe_chain`` and ``swap``) to the result.
+    k-coloring of g with hole ``e``; with no edge colored it keeps the
+    symmetry pin, so at the max degree it is the certificate of ``e``.
+    Useful for steering a coloring toward a wanted missing-color pattern;
+    for other completions, apply Kempe swaps (``kempe_chain`` and
+    ``swap``) to the result.
     """
     g = c.graph
     preset = {e: color for e, color in c.edge_items() if color and e != c.hole}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -11,9 +12,12 @@ import pytest
 import chroma.census
 import chroma.fans
 import chroma.graph
+import chroma.kpath5
 import chroma.oracle
 from chroma import (
+    CANONICAL,
     CensusConfig,
+    PartialEdgeColoring,
     Verdict,
     VIOLATION,
     examine_graph,
@@ -328,7 +332,7 @@ def test_witness_files_on_violation(tmp_path, monkeypatch):
     assert blob["detail"] == "forced for the witness test"
 
 
-# -- each distinct (edge, coloring) is validated once ------------------------
+# -- each color-renaming class of an edge's samples is validated once -------
 
 # The suites run by ``_coloring_suites``; the others are tallied elsewhere.
 _COLORING_SUITES = (
@@ -364,19 +368,30 @@ def test_census_in_the_papers_regime():
     assert elapsed < 10.0
 
 
-def test_coloring_suites_run_once_per_distinct_coloring(monkeypatch):
+def _colors(c) -> tuple[int, ...]:
+    return tuple(color for _, color in c.edge_items())
+
+
+def _suite_calls(monkeypatch) -> list:
+    """The (edge, colors) of every ``_coloring_suites`` run from now on."""
     calls = []
     real = chroma.census._coloring_suites
 
     def counting(e, c, tallies, found):
-        calls.append((e, tuple(color for _, color in c.edge_items())))
+        calls.append((e, _colors(c)))
         return real(e, c, tallies, found)
 
     monkeypatch.setattr(chroma.census, "_coloring_suites", counting)
+    return calls
+
+
+def test_coloring_suites_run_once_per_renaming_class(monkeypatch):
+    calls = _suite_calls(monkeypatch)
     rec = examine_graph("Dhc", _SMALL).record
-    # C5 minus an edge is a path with exactly two 2-colorings, and seed 0
-    # draws both on every edge: 10 suite runs stand for 25 samples.
-    assert len(calls) == len(set(calls)) == 10
+    # C5 minus an edge is a path with exactly two 2-colorings, one the
+    # other with its two colors swapped.  Seed 0 draws both on every edge,
+    # and one suite run per edge stands for its 5 samples.
+    assert len(calls) == len({e for e, _ in calls}) == 5
     assert rec["lemmas"]["fork"]["checked"] == 25
     assert rec["lemmas"]["multifan"]["checked"] == 50
 
@@ -405,10 +420,76 @@ def test_replayed_samples_keep_their_witnesses(monkeypatch):
     assert report.witnesses == expected
 
 
+def test_a_class_that_left_a_witness_replays_only_exact_repeats(monkeypatch):
+    def names_its_colors(c):
+        return Verdict(VIOLATION, str(list(_colors(c))))
+
+    monkeypatch.setattr(chroma.fans, "check_fork_exclusion", names_its_colors)
+    report = run_census("Dhc\n", _SMALL)
+    assert len(report.witnesses) == 25
+    for w in report.witnesses:
+        assert w["detail"] == str([color for _, _, color in w["coloring"]["edges"]])
+    # Both colorings of every edge left witnesses, each naming its own.
+    assert len({(tuple(w["edge"]), w["detail"]) for w in report.witnesses}) == 10
+
+
+def test_an_applicable_kierstead5_check_replays_only_exact_repeats(monkeypatch):
+    # Every sample of C7 has five-vertex Kierstead paths, and t never
+    # shares three missing colors with {a, b}, so every real check is
+    # inapplicable and the 14 distinct colorings fall into 7 classes.
+    def applicable(c, path):
+        return chroma.kpath5.CanonicalizeResult(CANONICAL, c, "", ())
+
+    monkeypatch.setattr(chroma.kpath5, "canonicalize_k5_path", applicable)
+    calls = _suite_calls(monkeypatch)
+    g6 = chroma.graph.to_graph6(families.cycle(7))
+    rec = examine_graph(g6, _SMALL).record
+    distinct = {(e, _colors(c)) for e, c in _reference_samples(g6, _SMALL)}
+    assert len(distinct) == 14
+    assert len(calls) == len(set(calls)) and set(calls) == distinct
+    assert rec["lemmas"]["kierstead5"] == {
+        "checked": 70, "ok": 70, "inapplicable": 0, "violations": 0, "dead_ends": 0
+    }
+
+
 @pytest.mark.parametrize(
     "g",
-    [families.petersen_minus_vertex(), families.subdivided_complete(4)],
-    ids=["petersen-minus-v", "subdivided-K4"],
+    [
+        families.cycle(7),
+        families.subdivided_complete(4),
+        families.petersen_minus_vertex(),
+        families.subdivided_complete(8),
+    ],
+    ids=["C7", "subdivided-K4", "petersen-minus-v", "subdivided-K8"],
+)
+def test_suite_tallies_do_not_depend_on_color_names(g):
+    g6 = chroma.graph.to_graph6(g)
+    rng = random.Random(g6)
+    moved = 0
+    for e, c in _reference_samples(g6, CensusConfig(seed=0, samples=10)):
+        perm = list(range(1, c.k + 1))
+        rng.shuffle(perm)
+        assignment = {edge: perm[color - 1] for edge, color in c.edge_items() if color}
+        renamed = PartialEdgeColoring.from_assignment(g, c.k, assignment, hole=e)
+        moved += _colors(renamed) != _colors(c)
+        runs = []
+        for coloring in (c, renamed):
+            tallies = {suite: chroma.census._new_tally(suite) for suite in _COLORING_SUITES}
+            found: list[tuple[str, str]] = []
+            chroma.census._coloring_suites(e, coloring, tallies, found)
+            runs.append((tallies, len(found)))
+        assert runs[0] == runs[1], (e, _colors(c), perm)
+    assert moved > 0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        families.petersen_minus_vertex(),
+        families.subdivided_complete(4),
+        families.subdivided_complete(8),
+    ],
+    ids=["petersen-minus-v", "subdivided-K4", "subdivided-K8"],
 )
 def test_memoised_tallies_match_per_sample_reference(g):
     g6 = chroma.graph.to_graph6(g)
