@@ -224,9 +224,15 @@ class PartialEdgeColoring:
     # -- integrity -------------------------------------------------------
 
     def check_proper(self) -> list[str]:
-        """Independently rescan the assignment; return a list of problems."""
+        """Independently rescan the assignment; return a list of problems.
+
+        The rescan rebuilds the present masks and the slot table from the
+        edge colors alone and compares them with the kept ones: every
+        partner lookup and Kempe walk reads the slot table.
+        """
         problems = []
         seen = [0] * self._graph.n
+        slot = [[-1] * (self._k + 1) for _ in range(self._graph.n)]
         count = 0
         for (u, v), c in zip(self._graph.edges, self._colors):
             if c == 0:
@@ -242,9 +248,13 @@ class PartialEdgeColoring:
                 problems.append(f"color {c} repeated at vertex {v}")
             seen[u] |= bit
             seen[v] |= bit
+            slot[u][c] = v
+            slot[v][c] = u
         for v in range(self._graph.n):
             if seen[v] != self._present[v]:
                 problems.append(f"present mask drift at vertex {v}")
+            if slot[v] != self._slot[v]:
+                problems.append(f"slot table drift at vertex {v}")
         if count != self._count:
             problems.append(f"colored edge count drift: {self._count} kept, {count} found")
         if self._hole_at is not None and self._colors[self._hole_at]:

@@ -10,10 +10,13 @@ front to break color symmetry.  The one counting argument used is the
 one behind ``is_overfull``: each color class is a matching, so a search
 whose edges outnumber the matching capacity left after those pins fails
 before it branches.  The search returns a plain edge-to-color dict.
-Certifying an edge critical keeps only whether one exists, and each
-caller that hands out a coloring builds exactly one, on the graph it
-holds.  The sampler varies its restarts by renaming the vertices before
-a search.  Searches carry a wall-clock budget and report expiry as
+Certifying one edge critical keeps only whether one exists.  Certifying
+a whole graph reuses each coloring it finds: moving the hole from one
+edge to another recolors a single edge and certifies the other edge with
+no search, so only edges that no move reaches are searched.  Each caller
+that hands out a coloring builds exactly one, on the graph it holds.
+The sampler varies its restarts by renaming the vertices before a
+search.  Searches carry a wall-clock budget and report expiry as
 :class:`OracleTimeout`, never as a class-1/class-2 answer.
 """
 
@@ -24,6 +27,7 @@ import time
 from dataclasses import dataclass
 from functools import reduce
 from operator import xor
+from typing import Iterator
 
 from .coloring import PartialEdgeColoring
 from .graph import Graph, _bits, _normalize_edge
@@ -211,12 +215,16 @@ def _certificate(g: Graph, e: tuple[int, int], timeout_ms: int | None) -> bool:
     """True when the graph g minus ``e`` has a max-degree coloring.
 
     This plain deterministic search certifies ``e`` critical and builds
-    no coloring: only its answer is kept.  The sampler's walk on ``e``
-    starts from the coloring the same search finds (``_walk_start`` under
-    the identity labelling), so the two always agree.  It runs on the
-    smaller graph: a search of g with ``e`` as a hole differs in edge
-    order and symmetry pin, and on subdivided K10 such searches took
-    51.2 s against about 3 s for all 46 of these (2-vCPU VM, Python 3.11).
+    no coloring: only its answer is kept.  It runs on the smaller graph:
+    a search of g with ``e`` as a hole differs in edge order and symmetry
+    pin, and on subdivided K10 such searches took 51.2 s against about
+    3 s for one of these per edge (2-vCPU VM, Python 3.11).  The
+    sampler's walk on ``e`` starts from the coloring the same search
+    finds (``_walk_start`` under the identity labelling), so the two
+    always agree.  :func:`is_delta_critical` certifies most edges by a
+    moved coloring instead; the walk on such an edge runs a search that
+    certification never ran, and it succeeds because the search is
+    exhaustive and a coloring exists.
     """
     return _search(g.without_edge(*e), g.max_degree, None, timeout_ms) is not None
 
@@ -242,6 +250,37 @@ def is_critical_edge(
     return _certificate(g, e, timeout_ms)
 
 
+def _hole_moves(
+    g: Graph,
+    e: tuple[int, int],
+    colors: dict[tuple[int, int], int],
+    certified: set[tuple[int, int]],
+) -> Iterator[tuple[tuple[int, int], dict[tuple[int, int], int]]]:
+    """Pairs (f, moved): from ``colors``, a max-degree coloring of g minus
+    ``e`` as ``_search`` returns it, each coloring of g minus f that
+    moving the hole to an edge f outside ``certified`` makes.
+
+    For e = xy and each color c missing at y, f is the c-edge at x.
+    Uncoloring f frees c at x, and c was already missing at y, so e can
+    take c, and the result is a proper coloring of g minus f.  Both
+    orientations of e are tried, colors in increasing order, and
+    ``certified`` is read at each step, so an edge the caller adds to it
+    meanwhile is skipped.  Each ``moved`` is a fresh dict.
+    """
+    for x, y in (e, e[::-1]):
+        at_x = {colors[_normalize_edge(x, w)]: w for w in g.neighbors(x) if w != y}
+        for w in g.neighbors(y):
+            if w != x:
+                at_x.pop(colors[_normalize_edge(y, w)], None)
+        for c, w in sorted(at_x.items()):
+            f = _normalize_edge(x, w)
+            if f not in certified:
+                moved = dict(colors)
+                del moved[f]
+                moved[e] = c
+                yield f, moved
+
+
 def is_delta_critical(
     g: Graph,
     *,
@@ -250,8 +289,12 @@ def is_delta_critical(
 ) -> bool:
     """True when g is connected, class 2, and every edge is critical.
 
-    The edges are certified in order and the first non-critical one ends
-    the loop.
+    Each coloring found is reused: moves (:func:`_hole_moves`) run
+    depth-first from it and certify other edges with no search.  Only an
+    edge that no move reaches gets the plain search of g minus that edge,
+    in edge order, and the first one with no coloring ends the loop, at
+    the same edge as one search per edge would.  True rests on a coloring
+    of each g minus e, False on an exhaustive search.
     """
     if g.m == 0 or not g.is_connected():
         return False
@@ -259,7 +302,21 @@ def is_delta_critical(
         chi = chromatic_index(g, timeout_ms=timeout_ms)
     if chi.classification != "class2":
         return False
-    return all(_certificate(g, e, timeout_ms) for e in g.edges)
+    delta = g.max_degree
+    certified: set[tuple[int, int]] = set()
+    for e in g.edges:
+        if e in certified:
+            continue
+        found = _search(g.without_edge(*e), delta, None, timeout_ms)
+        if found is None:
+            return False
+        certified.add(e)
+        stack = [(e, found)]
+        while stack:
+            for f, moved in _hole_moves(g, *stack.pop(), certified):
+                certified.add(f)
+                stack.append((f, moved))
+    return True
 
 
 def _sample_rng(seed: int, index: int) -> random.Random:
@@ -327,9 +384,10 @@ def sample_colorings(
     search of g minus ``e`` under a random relabelling of its vertices,
     drawn from the run seed and the sample's index.  The first block
     keeps the identity labelling, so it starts from the certificate of
-    ``e``: the same plain search of g minus ``e`` that
-    :func:`is_delta_critical` runs, so a census certifies each sampled
-    edge twice.
+    ``e``: the plain search of g minus ``e`` that :func:`is_critical_edge`
+    runs.  :func:`is_delta_critical` runs it too, but only on the edges
+    that no move of the hole reaches, so a census searches those sampled
+    edges twice and the others once, here.
 
     The list is deterministic for a given (seed, count) and is a prefix
     of a longer run with the same seed.  Every sample is its own object,

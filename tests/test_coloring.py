@@ -350,6 +350,26 @@ def test_check_proper_detects_drift():
     assert not c.is_complete
 
 
+def test_check_proper_trips_on_a_corrupted_slot_table():
+    k4 = families.complete(4)
+    c = PartialEdgeColoring.from_assignment(
+        k4,
+        3,
+        {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3, (1, 2): 3},
+    )
+    # Exchange two slot entries at vertex 0: the colors, the present masks
+    # and the count still agree, but partner lookups and Kempe walks from
+    # vertex 0 now cross the wrong edges.
+    slot = c._slot[0]
+    slot[1], slot[2] = slot[2], slot[1]
+    assert c.partner(0, 1) == 2
+    assert c.check_proper() == ["slot table drift at vertex 0"]
+    # A stale entry for a color missing at the vertex is drift too.
+    c = _p4()
+    c._slot[0][2] = 3
+    assert c.check_proper() == ["slot table drift at vertex 0"]
+
+
 def _rescanned_count(c: PartialEdgeColoring) -> int:
     return sum(1 for _, color in c.edge_items() if color)
 

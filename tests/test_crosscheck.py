@@ -18,7 +18,12 @@ import pytest
 np = pytest.importorskip("numpy")
 nx = pytest.importorskip("networkx")
 
-from chroma import Graph, chromatic_index, is_critical_edge  # noqa: E402
+from chroma import (  # noqa: E402
+    Graph,
+    chromatic_index,
+    is_critical_edge,
+    is_delta_critical,
+)
 
 
 def _matching_table(edges: list[tuple[int, int]]):
@@ -63,7 +68,7 @@ def test_inclusion_exclusion_counts_small_cases():
 
 
 def test_oracle_agrees_with_inclusion_exclusion_on_atlas():
-    classes = edges_checked = 0
+    classes = edges_checked = criticals = 0
     for g in _atlas():
         edges = list(g.edges)
         counts, odd = _matching_table(edges)
@@ -72,14 +77,19 @@ def test_oracle_agrees_with_inclusion_exclusion_on_atlas():
         assert _covers(counts, odd, g.m, k) > 0, g.edges
         assert _covers(counts, odd, g.m, k - 1) == 0, g.edges
         classes += 1
-        if chi.classification != "class2":
-            continue
-        delta = g.max_degree
-        index = np.arange(len(counts), dtype=np.int64)
-        for j, e in enumerate(edges):
-            # The subsets of E - e are those with bit j clear.
-            keep = (index >> j & 1) == 0
-            colorable = _covers(counts[keep], odd[keep], g.m - 1, delta) > 0
-            assert is_critical_edge(g, e, chi=chi) == colorable, (g.edges, e)
-            edges_checked += 1
-    assert (classes, edges_checked) == (995, 502)
+        # Delta-critical: no Delta-coloring of G (checked just above for
+        # class 2, where k - 1 = Delta), and one of every G - e.
+        critical = chi.classification == "class2"
+        if critical:
+            delta = g.max_degree
+            index = np.arange(len(counts), dtype=np.int64)
+            for j, e in enumerate(edges):
+                # The subsets of E - e are those with bit j clear.
+                keep = (index >> j & 1) == 0
+                colorable = _covers(counts[keep], odd[keep], g.m - 1, delta) > 0
+                assert is_critical_edge(g, e, chi=chi) == colorable, (g.edges, e)
+                critical = critical and colorable
+                edges_checked += 1
+        assert is_delta_critical(g, chi=chi) == critical, g.edges
+        criticals += critical
+    assert (classes, edges_checked, criticals) == (995, 502, 26)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from chroma import (
     families,
     is_critical_edge,
     is_delta_critical,
+    oracle,
     parse_graph6,
     sample_colorings,
     to_graph6,
@@ -107,6 +109,95 @@ def test_is_delta_critical():
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert not is_delta_critical(two_triangles)
     assert not is_delta_critical(Graph(3))
+
+
+def _subdivided_regular(rng: random.Random, n: int, d: int) -> Graph:
+    """A random connected d-regular graph on n vertices, paired from
+    shuffled stubs until simple, with one random edge subdivided by the
+    new vertex n.  It is overfull, so class 2."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])}
+        if len(edges) < n * d // 2 or any(u == v for u, v in edges):
+            continue
+        g = Graph(n, edges)
+        if g.is_connected():
+            break
+    u, v = rng.choice(g.edges)
+    return Graph(n + 1, [e for e in g.edges if e != (u, v)] + [(u, n), (v, n)])
+
+
+def _gnp_half(rng: random.Random, n: int) -> Graph:
+    """A connected G(n, 1/2) graph."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    while True:
+        g = Graph(n, [e for e in pairs if rng.random() < 0.5])
+        if g.is_connected():
+            return g
+
+
+def _agreed(g: Graph) -> bool:
+    """is_delta_critical(g), asserted equal to a search of every G − e."""
+    chi = chromatic_index(g)
+    every = all(is_critical_edge(g, e, chi=chi) for e in g.edges)
+    assert is_delta_critical(g, chi=chi) == every, to_graph6(g)
+    return every
+
+
+def test_is_delta_critical_agrees_with_every_edge_certified():
+    rng = random.Random(18)
+    for _, g in families.basic_fixtures():
+        _agreed(g)
+    cells = [(8, 4), (10, 4), (8, 5)] * 4
+    assert all([_agreed(_subdivided_regular(rng, n, d)) for n, d in cells])
+    for n in (6, 7, 8, 9) * 3:
+        _agreed(_gnp_half(rng, n))
+    # Class 2 but not critical.
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    hosts = (families.complete(5), families.petersen(), two_triangles)
+    assert not any([_agreed(g) for g in hosts])
+
+
+def test_moves_cut_the_certificate_searches(monkeypatch):
+    # One search per edge would make 29 and 46; the rest are certified by
+    # moving the hole of a coloring already found.
+    search = oracle._search
+    searched = []
+
+    def counted(h, *args):
+        searched.append(h.m)
+        return search(h, *args)
+
+    for m, searches in ((8, 7), (10, 22)):
+        g = families.subdivided_complete(m)
+        chi = chromatic_index(g)
+        searched.clear()
+        monkeypatch.setattr(oracle, "_search", counted)
+        assert is_delta_critical(g, chi=chi)
+        monkeypatch.undo()
+        assert searched == [g.m - 1] * searches
+
+
+def test_every_moved_coloring_is_proper(monkeypatch):
+    nx = pytest.importorskip("networkx")
+    moves = oracle._hole_moves
+    made = []
+
+    def checked(g, e, colors, certified):
+        for f, moved in moves(g, e, colors, certified):
+            c = PartialEdgeColoring.from_assignment(g, g.max_degree, moved, hole=f)
+            assert c.check_proper() == [] and c.is_complete, (g.edges, e, f)
+            made.append(f)
+            yield f, moved
+
+    monkeypatch.setattr(oracle, "_hole_moves", checked)
+    critical = 0
+    for G in nx.graph_atlas_g():
+        if G.number_of_edges() and nx.is_connected(G):
+            critical += is_delta_critical(Graph(G.number_of_nodes(), G.edges()))
+    assert critical == 26
+    assert made
 
 
 def test_sample_colorings_shape_and_determinism():
