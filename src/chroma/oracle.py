@@ -9,12 +9,14 @@ presets the colors of one maximum-degree vertex's edges are fixed up
 front to break color symmetry.  The one counting argument used is the
 one behind ``is_overfull``: each color class is a matching, so a search
 whose edges outnumber the matching capacity left after those pins fails
-before it branches.  The search returns a plain edge-to-color dict.
-Certifying one edge critical keeps only whether one exists.  Certifying
-a whole graph reuses each coloring it finds: moving the hole from one
-edge to another recolors a single edge and certifies the other edge with
-no search, so only edges that no move reaches are searched.  Each caller
-that hands out a coloring builds exactly one, on the graph it holds.
+before it branches.  The search returns a plain edge-to-color dict.  It
+searches g minus an edge on g itself, reading g's tables with that edge
+as a hole, so no smaller graph is built.  Certifying one edge critical
+keeps only whether such a coloring exists.  Certifying a whole graph
+reuses each coloring it finds: moving the hole from one edge to another
+recolors a single edge and certifies the other edge with no search, so
+only edges that no move reaches are searched.  Each caller that hands
+out a coloring builds exactly one, on the graph it holds.
 The sampler varies its restarts by renaming the vertices before a
 search.  Searches carry a wall-clock budget and report expiry as
 :class:`OracleTimeout`, never as a class-1/class-2 answer.
@@ -94,18 +96,26 @@ def _search(
     k: int,
     preset: dict[tuple[int, int], int] | None,
     timeout_ms: int | None,
+    hole: tuple[int, int] | None = None,
 ) -> dict[tuple[int, int], int] | None:
-    """A proper k-edge-coloring of g as an edge-to-color dict, else None.
+    """A proper k-edge-coloring of g minus ``hole`` as an edge-to-color
+    dict, else None.
 
-    The dict holds every edge of g.  Callers that hand out a coloring
-    build one :class:`PartialEdgeColoring` from it on the graph they
-    hold; a yes/no caller builds none.
+    The dict holds every edge of g but the hole.  Callers that hand out a
+    coloring build one :class:`PartialEdgeColoring` from it on the graph
+    they hold; a yes/no caller builds none.
+
+    ``hole``, an edge of g in its normalized key (None for no hole), is
+    searched around while g's own tables are read: its two ends count
+    one degree less, the symmetry pin skips it and the edge order leaves
+    it out.  Degrees, pin and edge order are exactly those of
+    ``g.without_edge(*hole)``, so the coloring found is too.
 
     ``preset`` pins edge colors before the search.  Without one, or with
     an empty one, the search breaks color symmetry by pinning the colors
     at a max-degree vertex; a preset that colors any edge makes the
     colors no longer interchangeable.  The search is deterministic: the
-    same graph, palette and presets always give the same coloring.
+    same graph, hole, palette and presets always give the same coloring.
     Raises OracleTimeout when ``timeout_ms`` (None for no budget) runs
     out.
     """
@@ -113,6 +123,10 @@ def _search(
     deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
     full = ((1 << k) - 1) << 1
     degs = g.degrees
+    if hole is not None:
+        degs = list(degs)
+        for v in hole:
+            degs[v] -= 1
     avail = [full] * g.n
     assignment: dict[tuple[int, int], int] = {}
 
@@ -131,17 +145,20 @@ def _search(
                 raise ValueError(f"preset color {color} outside 1..{k}")
             if not pin(*_normalize_edge(u, v), color):
                 return None
-    else:
+    elif g.n:
         # Any proper coloring can be renamed so one max-degree vertex sees
         # colors 1..d in neighbor order, so pinning them loses nothing.
         vstar = max(range(g.n), key=lambda v: (degs[v], -v))
         color = 0
         for w in g.neighbors(vstar):
+            e = _normalize_edge(vstar, w)
+            if e == hole:
+                continue
             color += 1
-            if color > k or not pin(*_normalize_edge(vstar, w), color):
+            if color > k or not pin(*e, color):
                 return None
 
-    todo = [e for e in g.edges if e not in assignment]
+    todo = [e for e in g.edges if e not in assignment and e != hole]
     todo.sort(key=lambda e: (-(degs[e[0]] + degs[e[1]]), e))
     # Each color class is a matching, so color c covers at most floor(f/2)
     # more edges, f being the vertices still free for c.  Summed over the
@@ -211,24 +228,6 @@ def chromatic_index(
     return ChiResult(delta + 1, "class2", witness)
 
 
-def _certificate(g: Graph, e: tuple[int, int], timeout_ms: int | None) -> bool:
-    """True when the graph g minus ``e`` has a max-degree coloring.
-
-    This plain deterministic search certifies ``e`` critical and builds
-    no coloring: only its answer is kept.  It runs on the smaller graph:
-    a search of g with ``e`` as a hole differs in edge order and symmetry
-    pin, and on subdivided K10 such searches took 51.2 s against about
-    3 s for one of these per edge (2-vCPU VM, Python 3.11).  The
-    sampler's walk on ``e`` starts from the coloring the same search
-    finds (``_walk_start`` under the identity labelling), so the two
-    always agree.  :func:`is_delta_critical` certifies most edges by a
-    moved coloring instead; the walk on such an edge runs a search that
-    certification never ran, and it succeeds because the search is
-    exhaustive and a coloring exists.
-    """
-    return _search(g.without_edge(*e), g.max_degree, None, timeout_ms) is not None
-
-
 def is_critical_edge(
     g: Graph,
     e: tuple[int, int],
@@ -241,13 +240,27 @@ def is_critical_edge(
     Only class-2 graphs have critical edges in this sense; for class-1
     hosts the answer is False without a deletion search.  A precomputed
     ``chi`` for g is reused when given.
+
+    On a class-2 host, ``e`` is certified by the plain deterministic
+    search of g with ``e`` as its hole, which builds no coloring: only
+    its answer is kept.  The hole gives the search the degrees, pin and
+    edge order of g minus ``e``; a search of g with g's own degrees
+    differs in edge order and symmetry pin, and on subdivided K10 such
+    searches took 51.2 s against about 3 s for one of these per edge
+    (2-vCPU VM, Python 3.11).  The sampler's walk on ``e`` starts from
+    the coloring the same search finds (``_walk_start`` under the
+    identity labelling), so the two always agree.
+    :func:`is_delta_critical` certifies most edges by a moved coloring
+    instead; the walk on such an edge runs a search that certification
+    never ran, and it succeeds because the search is exhaustive and a
+    coloring exists.
     """
     e = _edge_of(g, e)
     if chi is None:
         chi = chromatic_index(g, timeout_ms=timeout_ms)
     if chi.classification != "class2":
         return False
-    return _certificate(g, e, timeout_ms)
+    return _search(g, g.max_degree, None, timeout_ms, e) is not None
 
 
 def _hole_moves(
@@ -307,7 +320,7 @@ def is_delta_critical(
     for e in g.edges:
         if e in certified:
             continue
-        found = _search(g.without_edge(*e), delta, None, timeout_ms)
+        found = _search(g, delta, None, timeout_ms, e)
         if found is None:
             return False
         certified.add(e)
@@ -424,7 +437,7 @@ def complete_coloring(
 
     The assigned edges act as hard constraints and the rest are searched
     in the plain deterministic order, so the same input always gives the
-    same completion.  A coloring with a hole is searched on the graph
+    same completion.  A coloring with a hole is searched as the graph
     minus that edge, and the completion is built on ``c.graph`` with the
     same hole, so ``complete_coloring(empty_partial(g, e, k))`` is one
     k-coloring of g with hole ``e``; with no edge colored it keeps the
@@ -435,8 +448,7 @@ def complete_coloring(
     """
     g = c.graph
     preset = {e: color for e, color in c.edge_items() if color and e != c.hole}
-    searched = g if c.hole is None else g.without_edge(*c.hole)
-    found = _search(searched, c.k, preset, timeout_ms)
+    found = _search(g, c.k, preset, timeout_ms, c.hole)
     if found is None:
         return None
     return PartialEdgeColoring.from_assignment(g, c.k, found, hole=c.hole)

@@ -144,6 +144,20 @@ def test_examine_edgeless_graph():
     assert all(t["checked"] == 0 for t in rec["lemmas"].values())
 
 
+def test_examine_empty_graph():
+    rec = examine_graph("?", _SMALL).record
+    assert (rec["n"], rec["max_degree"], rec["min_degree"], rec["edge_count"]) == (0, 0, 0, 0)
+    assert (rec["chi_prime"], rec["class"]) == (0, "class1")
+    assert rec["is_critical"] is False
+    assert rec["overfull"] is None
+    assert rec["theorem1"] == {"status": "inapplicable", "detail": "empty graph"}
+    assert all(t["checked"] == 0 for t in rec["lemmas"].values())
+    assert "error" not in rec
+    summary = run_census("?\n", _SMALL).summary
+    assert (summary["graphs"], summary["class1"], summary["overfull"]) == (1, 1, 0)
+    assert summary["implication"]["inapplicable"] == 1
+
+
 def test_examine_rejects_bad_line():
     with pytest.raises(ValueError, match="graph6"):
         examine_graph("C", _SMALL)

@@ -8,7 +8,19 @@ import json
 import pytest
 
 import chroma.fans
-from chroma import Verdict, VIOLATION, families, parse_graph6, to_graph6
+import chroma.kpath5
+import chroma.overfull
+from chroma import (
+    COUNTEREXAMPLE,
+    DEAD_END,
+    CanonicalizeResult,
+    ImplicationVerdict,
+    Verdict,
+    VIOLATION,
+    families,
+    parse_graph6,
+    to_graph6,
+)
 from chroma.cli import main
 
 
@@ -140,6 +152,81 @@ def test_census_exit_one_with_witnesses(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     files = list(wdir.glob("witness-*.json"))
     assert len(files) == 6
+
+
+_C5 = to_graph6(families.cycle(5))
+# Subdivided K8 is the smallest subdivided complete graph whose samples
+# hold kites; its short-kites come along.
+_SUBDIVIDED_K8 = to_graph6(families.subdivided_complete(8))
+_FORCED = Verdict(VIOLATION, "forced")
+
+# (lemma, module, validator, host, forced verdict, detail prefix, witnesses
+# at one sample per edge).  The real validators find nothing on these
+# hosts, so each is patched, where the census reads it, to report a
+# finding on every check.
+_WITNESS_PATHS = [
+    ("multifan", chroma.fans, "validate_multifan", _C5, _FORCED, "forced", 10),
+    ("fan-linkage", chroma.fans, "validate_fan_linkage", _C5, _FORCED, "forced", 10),
+    ("kierstead4", chroma.fans, "validate_kierstead4", _C5, _FORCED, "path (", 10),
+    (
+        "kierstead5", chroma.kpath5, "canonicalize_k5_path", _C5,
+        CanonicalizeResult(DEAD_END, None, "forced", ()), "path (", 10,
+    ),
+    (
+        "degree-dichotomy", chroma.fans, "check_degree_dichotomy", _C5,
+        _FORCED, "anchor ", 5,
+    ),
+    ("short-kite", chroma.fans, "validate_shortkite", _SUBDIVIDED_K8, _FORCED, "{'a': ", 480),
+    ("kite", chroma.fans, "validate_kite", _SUBDIVIDED_K8, _FORCED, "{'a': ", 2880),
+    ("parity", chroma.overfull, "parity_check", _C5, _FORCED, "forced", 1),
+    (
+        "theorem1", chroma.overfull, "verify_overfull_implication", _C5,
+        ImplicationVerdict(COUNTEREXAMPLE, "forced"), "forced", 1,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "lemma, module, validator, g6, verdict, prefix, count",
+    _WITNESS_PATHS,
+    ids=[row[0] for row in _WITNESS_PATHS],
+)
+def test_census_writes_every_kind_of_witness(
+    tmp_path, capsys, monkeypatch, lemma, module, validator, g6, verdict, prefix, count
+):
+    monkeypatch.setattr(module, validator, lambda *args, **kwargs: verdict)
+    corpus = _write(tmp_path, "corpus.g6", g6 + "\n")
+    wdir = tmp_path / "witnesses"
+    code = main(["census", "--samples", "1", "--witness-dir", str(wdir), corpus])
+    assert code == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    record = json.loads(lines[0])
+    summary = json.loads(lines[-1])["summary"]
+    assert record["is_critical"] is True
+    g = parse_graph6(g6)
+    edges = [list(e) for e in g.edges]
+    witnesses = [json.loads(p.read_text()) for p in sorted(wdir.glob("witness-*.json"))]
+    assert len(witnesses) == count
+    for w in witnesses:
+        assert w["graph6"] == g6 and w["lemma"] == lemma
+        assert w["detail"].startswith(prefix) and w["detail"].endswith("forced")
+        if lemma in ("degree-dichotomy", "theorem1"):
+            assert w["edge"] is None and w["coloring"] is None
+        elif lemma == "parity":
+            assert w["edge"] is None and w["coloring"]["uncolored"] is None
+            assert len(w["coloring"]["edges"]) == g.m
+        else:
+            assert w["edge"] in edges and w["coloring"]["uncolored"] == w["edge"]
+    if lemma == "theorem1":
+        assert record["theorem1"] == {"status": COUNTEREXAMPLE, "detail": "forced"}
+        assert summary["implication"]["counterexample"] == 1
+        assert summary["violations"] == summary["dead_ends"] == 0
+        return
+    tally = record["lemmas"][lemma]
+    field = "dead_ends" if lemma == "kierstead5" else "violations"
+    assert tally["checked"] == tally[field] == count
+    assert summary[field] == count
+    assert summary["violations"] + summary["dead_ends"] == count
 
 
 def test_verify_lemmas_single_graph(tmp_path, capsys):

@@ -219,6 +219,11 @@ def test_kierstead_paths_enumeration():
         KiersteadPath((0, 1, 2, 3, 4)),
         KiersteadPath((1, 0, 4, 3, 2)),
     ]
+    # Edges come in path order, each as its normalized key, hole first.
+    assert [p.edges for p in kierstead_paths(c, 5)] == [
+        ((0, 1), (1, 2), (2, 3), (3, 4)),
+        ((0, 1), (0, 4), (3, 4), (2, 3)),
+    ]
     with pytest.raises(ValueError, match="2..5"):
         kierstead_paths(c, 6)
 

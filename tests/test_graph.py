@@ -76,8 +76,8 @@ def test_without_edge():
     assert g.has_edge(0, 3)
     with pytest.raises(ValueError, match="not in graph"):
         h.without_edge(3, 0)
-    # The copy is built from the parent's fields, not rebuilt from its
-    # edges, and must equal the rebuilt graph in every field.
+    # The copy must equal the graph rebuilt from the other edges in every
+    # field.
     drops = 0
     for g in _without_edge_hosts():
         for e in g.edges:

@@ -61,6 +61,19 @@ def test_decide_colorable():
     c = decide_colorable(families.complete(3), 3)
     assert c is not None and c.is_complete
     assert c.hole is None
+    # The symmetry pin alone refutes K4 at two colors: vertex 0 has three
+    # edges to pin.
+    assert decide_colorable(families.complete(4), 2) is None
+
+
+def test_the_empty_graph_has_the_empty_coloring():
+    # With no vertex there is no max-degree vertex to pin at.
+    for c in (
+        decide_colorable(Graph(0), 1),
+        complete_coloring(empty_partial(Graph(0), None, 1)),
+    ):
+        assert c is not None and c.is_complete and c.hole is None
+        assert c.graph == Graph(0) and list(c.edge_items()) == []
 
 
 def test_timeout_budget():
@@ -159,15 +172,44 @@ def test_is_delta_critical_agrees_with_every_edge_certified():
     assert not any([_agreed(g) for g in hosts])
 
 
+def test_a_hole_searches_the_graph_minus_that_edge():
+    # A search of g with hole e reads g's own tables and must find exactly
+    # the coloring that a search of the rebuilt graph g − e finds.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(19)
+    hosts = [g for _, g in families.basic_fixtures()]
+    hosts += [_subdivided_regular(rng, n, d) for n, d in [(8, 4), (10, 4), (8, 5)] * 2]
+    hosts += [_gnp_half(rng, n) for n in (6, 7, 8, 9) * 2]
+    class2 = 0
+    for G in nx.graph_atlas_g():
+        if G.number_of_edges() and nx.is_connected(G):
+            g = Graph(G.number_of_nodes(), G.edges())
+            if decide_colorable(g, g.max_degree) is None:
+                hosts.append(g)
+                class2 += 1
+    assert class2 == 40
+    found = refuted = 0
+    for g in hosts:
+        delta = g.max_degree
+        for e in g.edges:
+            colors = oracle._search(g, delta, None, None, e)
+            assert colors == oracle._search(g.without_edge(*e), delta, None, None), (
+                to_graph6(g), e
+            )
+            found += colors is not None
+            refuted += colors is None
+    assert found and refuted
+
+
 def test_moves_cut_the_certificate_searches(monkeypatch):
     # One search per edge would make 29 and 46; the rest are certified by
     # moving the hole of a coloring already found.
     search = oracle._search
     searched = []
 
-    def counted(h, *args):
-        searched.append(h.m)
-        return search(h, *args)
+    def counted(h, k, preset, timeout_ms, hole=None):
+        searched.append(hole)
+        return search(h, k, preset, timeout_ms, hole)
 
     for m, searches in ((8, 7), (10, 22)):
         g = families.subdivided_complete(m)
@@ -176,7 +218,7 @@ def test_moves_cut_the_certificate_searches(monkeypatch):
         monkeypatch.setattr(oracle, "_search", counted)
         assert is_delta_critical(g, chi=chi)
         monkeypatch.undo()
-        assert searched == [g.m - 1] * searches
+        assert len(searched) == len(set(searched) & set(g.edges)) == searches
 
 
 def test_every_moved_coloring_is_proper(monkeypatch):
@@ -198,6 +240,18 @@ def test_every_moved_coloring_is_proper(monkeypatch):
             critical += is_delta_critical(Graph(G.number_of_nodes(), G.edges()))
     assert critical == 26
     assert made
+
+
+def test_kempe_step_skips_an_anchor_with_no_color_present():
+    # Every anchor of an uncolored shell has no color present, so a step
+    # draws only the anchor and changes nothing.
+    c = empty_partial(families.cycle(5), (0, 1), 3)
+    rng = random.Random(4)
+    oracle._kempe_step(c, rng)
+    assert c.colored_count == 0 and c.check_proper() == []
+    expected = random.Random(4)
+    expected.randrange(5)
+    assert rng.getstate() == expected.getstate()
 
 
 def test_sample_colorings_shape_and_determinism():
@@ -399,10 +453,12 @@ def test_sample_stream_is_pinned():
 
 # SHA-256 over every edge e of every fixture: the coloring of G − e that
 # certifies e, from which the sampler's walk on e starts; "-" where G − e
-# needs another color.  The completion of empty_partial(g, e, max degree)
-# searches G − e with an empty preset, so it keeps the symmetry pin and
-# must give the same colors.  A change to the search, to without_edge or
-# to how a coloring is built from a search must fail here first.
+# needs another color.  It is hashed from a search of the rebuilt graph
+# g.without_edge(*e); the oracle searches g with e as a hole instead and
+# must agree.  The completion of empty_partial(g, e, max degree) searches
+# G − e with an empty preset, so it keeps the symmetry pin and must give
+# the same colors.  A change to the search, to its hole or to how a
+# coloring is built from a search must fail here first.
 _FIXTURE_CERTIFICATES_SHA256 = "c0b4e03ae26e1eb15acc5f00aef7f2922a12aaa3873bd2c15b62e4d9abb820d4"
 
 
