@@ -8,8 +8,8 @@ canonicalizer, parity accounting, and the critical-implies-overfull
 implication.  The output is one JSON record per graph plus a summary,
 with any violation serialized as a standalone witness file.
 
-Determinism is a design requirement: per-edge sampling seeds are derived
-by hashing (run seed, graph6 string, edge), records are sorted by their
+Determinism is a design requirement: per-graph sampling seeds are derived
+by hashing (run seed, graph6 string), records are sorted by their
 graph6 string before emission, and wall-clock timings live in one
 isolated field so reports can be compared byte for byte without them.
 Graphs are independent, so a run can fan out across processes; the
@@ -213,9 +213,9 @@ def _witness(
     }
 
 
-def _edge_seed(seed: int, g6: str, e: tuple[int, int]) -> int:
-    """Stable per-(graph, edge) sampling seed, independent of run order."""
-    digest = hashlib.sha256(f"{seed}|{g6}|{e[0]},{e[1]}".encode()).digest()
+def _graph_seed(seed: int, g6: str) -> int:
+    """Stable per-graph sampling seed, independent of run order."""
+    digest = hashlib.sha256(f"{seed}|{g6}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -263,9 +263,9 @@ def _critical_suites(
     tallies: dict,
     witnesses: list[dict],
 ) -> None:
-    """Edge-by-edge validator sweep; only called on certified hosts.  Each
-    edge is sampled just before its suites, so a sampling timeout keeps
-    the earlier edges' tallies and names its own edge.
+    """Edge-by-edge validator sweep; only called on certified hosts.  One
+    walk samples every edge before any edge's suites run, so a sampling
+    timeout leaves every suite of this sweep at zero.
 
     The suites run once per color-renaming class of an edge's samples.
     Each suite's status depends only on missing-color sets, chain
@@ -279,20 +279,20 @@ def _critical_suites(
     whose first run left a witness, whose detail names that coloring's
     colors and vertices, and one where a ``kierstead5`` check applied,
     since the five-vertex rewrite picks colors by their names."""
-    per_edge: dict[tuple[int, int], list] = {}
+    count = config.samples
+    try:
+        samples = oracle.sample_colorings(
+            g, count, _graph_seed(config.seed, g6), timeout_ms=config.timeout_ms
+        )
+    except oracle.OracleTimeout as exc:
+        raise oracle.OracleTimeout(f"sampling: {exc}") from exc
+    per_edge = {e: samples[i * count : (i + 1) * count] for i, e in enumerate(g.edges)}
     for e in g.edges:
         x, y = e
         for p, q in ((x, y), (y, x)):
             verdict = fans.check_val(g, p, q)
             if _tally(tallies, "val", verdict.status):
                 witnesses.append(_witness(g6, (p, q), None, "val", verdict.detail))
-        seed = _edge_seed(config.seed, g6, e)
-        try:
-            per_edge[e] = oracle.sample_colorings(
-                g, e, config.samples, seed, timeout_ms=config.timeout_ms
-            )
-        except oracle.OracleTimeout as exc:
-            raise oracle.OracleTimeout(f"sampling edge {e}: {exc}") from exc
         # Exact color lists and renaming classes live in separate dicts, so
         # a raw list never matches a renamed key.
         seen: dict[tuple[int, ...], tuple[list, list[tuple[str, str]]]] = {}

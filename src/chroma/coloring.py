@@ -190,22 +190,6 @@ class PartialEdgeColoring:
         other._slot = [row[:] for row in self._slot]
         return other
 
-    def _assign(self, u: int, v: int, color: int) -> None:
-        if not 1 <= color <= self._k:
-            raise ValueError(f"color {color} outside palette 1..{self._k}")
-        i = self._graph.edge_index(u, v)
-        if self._colors[i]:
-            raise ValueError(f"edge ({u}, {v}) already colored {self._colors[i]}")
-        bit = 1 << color
-        if self._present[u] & bit or self._present[v] & bit:
-            raise ValueError(f"color {color} already present at an endpoint of ({u}, {v})")
-        self._colors[i] = color
-        self._count += 1
-        self._present[u] |= bit
-        self._present[v] |= bit
-        self._slot[u][color] = v
-        self._slot[v][color] = u
-
     @classmethod
     def from_assignment(
         cls,
@@ -214,11 +198,30 @@ class PartialEdgeColoring:
         assignment: dict[tuple[int, int], int],
         hole: tuple[int, int] | None = None,
     ) -> "PartialEdgeColoring":
-        """Build a coloring from an explicit edge-to-color mapping."""
+        """Build a coloring from an explicit edge-to-color mapping, where 0
+        leaves an edge uncolored.  ValueError for a color outside the
+        palette, an edge given in both orientations or a color repeated at
+        a vertex."""
         c = cls(graph, k, hole)
+        index = graph._edge_index
+        colors, present, slot = c._colors, c._present, c._slot
         for (u, v), color in assignment.items():
-            if color:
-                c._assign(u, v, color)
+            if not color:
+                continue
+            if not 1 <= color <= k:
+                raise ValueError(f"color {color} outside palette 1..{k}")
+            i = index[(u, v) if u < v else (v, u)]
+            if colors[i]:
+                raise ValueError(f"edge ({u}, {v}) already colored {colors[i]}")
+            bit = 1 << color
+            if (present[u] | present[v]) & bit:
+                raise ValueError(f"color {color} already present at an endpoint of ({u}, {v})")
+            colors[i] = color
+            present[u] |= bit
+            present[v] |= bit
+            slot[u][color] = v
+            slot[v][color] = u
+            c._count += 1
         return c
 
     # -- integrity -------------------------------------------------------
@@ -363,6 +366,29 @@ class PartialEdgeColoring:
             present[v] |= bit
             slot[u][c] = v
             slot[v][c] = u
+
+    def _move_hole(self, x: int, color: int) -> None:
+        """Move the hole e = xy in place to the ``color``-edge xw at x,
+        which e takes, as in Vizing's fan recoloring.  ``color`` must be
+        missing at y and present at x, as it is on a class-2 host at its
+        max degree; else ValueError.  Repeating the move undoes it.
+        """
+        u, v = self._hole
+        y = v if x == u else u
+        w = self._slot[x][color]
+        bit = 1 << color
+        if x not in (u, v) or w < 0 or self._present[y] & bit:
+            raise ValueError(f"cannot move the hole {self._hole} along color {color} at {x}")
+        f = self._graph.edge_index(x, w)
+        self._colors[f] = 0
+        self._colors[self._hole_at] = color
+        self._present[w] ^= bit
+        self._present[y] |= bit
+        self._slot[w][color] = -1
+        self._slot[x][color] = y
+        self._slot[y][color] = x
+        self._hole = _normalize_edge(x, w)
+        self._hole_at = f
 
     def swap_subchain(
         self, x: int, y: int, alpha: int, beta: int

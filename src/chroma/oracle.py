@@ -16,10 +16,11 @@ keeps only whether such a coloring exists.  Certifying a whole graph
 reuses each coloring it finds: moving the hole from one edge to another
 recolors a single edge and certifies the other edge with no search, so
 only edges that no move reaches are searched.  Each caller that hands
-out a coloring builds exactly one, on the graph it holds.
-The sampler varies its restarts by renaming the vertices before a
-search.  Searches carry a wall-clock budget and report expiry as
-:class:`OracleTimeout`, never as a class-1/class-2 answer.
+out a coloring builds exactly one, on the graph it holds.  The sampler
+is one seeded walk per graph that mixes Kempe swaps with the same hole
+move; it runs no search after its start.  Searches carry a wall-clock
+budget and report expiry as :class:`OracleTimeout`, never as a
+class-1/class-2 answer.
 """
 
 from __future__ import annotations
@@ -52,13 +53,12 @@ DEFAULT_TIMEOUT_MS = 10_000
 
 _CHECK_INTERVAL = 4096
 
-# The sampler's Kempe walk: whole-component swaps per sample, and samples
-# between restarts from the search of a randomly relabelled graph.  SAMPLER
-# names them in census metadata, so a report says which sample stream it
-# was built on.
+# The sampler's walk: steps per sample, and its step cap per sample asked
+# for.  SAMPLER names the walk in census metadata, so a report says which
+# sample stream it was built on; the cap only decides when a walk gives up.
 _WALK_SWAPS = 3
-_WALK_RESTART = 10
-SAMPLER = f"kempe-walk-relabel-r{_WALK_RESTART}-s{_WALK_SWAPS}"
+_WALK_CAP = 1000
+SAMPLER = f"kempe-hole-walk-s{_WALK_SWAPS}"
 
 
 class OracleTimeout(Exception):
@@ -247,13 +247,8 @@ def is_critical_edge(
     edge order of g minus ``e``; a search of g with g's own degrees
     differs in edge order and symmetry pin, and on subdivided K10 such
     searches took 51.2 s against about 3 s for one of these per edge
-    (2-vCPU VM, Python 3.11).  The sampler's walk on ``e`` starts from
-    the coloring the same search finds (``_walk_start`` under the
-    identity labelling), so the two always agree.
-    :func:`is_delta_critical` certifies most edges by a moved coloring
-    instead; the walk on such an edge runs a search that certification
-    never ran, and it succeeds because the search is exhaustive and a
-    coloring exists.
+    (2-vCPU VM, Python 3.11).  The sampler's walk starts from the
+    coloring that this search finds for ``g.edges[0]``.
     """
     e = _edge_of(g, e)
     if chi is None:
@@ -264,33 +259,21 @@ def is_critical_edge(
 
 
 def _hole_moves(
-    g: Graph,
-    e: tuple[int, int],
-    colors: dict[tuple[int, int], int],
-    certified: set[tuple[int, int]],
-) -> Iterator[tuple[tuple[int, int], dict[tuple[int, int], int]]]:
-    """Pairs (f, moved): from ``colors``, a max-degree coloring of g minus
-    ``e`` as ``_search`` returns it, each coloring of g minus f that
-    moving the hole to an edge f outside ``certified`` makes.
-
-    For e = xy and each color c missing at y, f is the c-edge at x.
-    Uncoloring f frees c at x, and c was already missing at y, so e can
-    take c, and the result is a proper coloring of g minus f.  Both
-    orientations of e are tried, colors in increasing order, and
-    ``certified`` is read at each step, so an edge the caller adds to it
-    meanwhile is skipped.  Each ``moved`` is a fresh dict.
+    c: PartialEdgeColoring, certified: set[tuple[int, int]]
+) -> Iterator[tuple[tuple[int, int], PartialEdgeColoring]]:
+    """Pairs (f, moved): for the hole e = xy of ``c``, a max-degree
+    coloring of a class-2 graph, and each color missing at y, the edge f
+    of that color at x and a copy of ``c`` with the hole moved there
+    (:meth:`PartialEdgeColoring._move_hole`).  Both orientations of e
+    are tried, colors in increasing order, and an f in ``certified``,
+    which is read at each step, is skipped.
     """
-    for x, y in (e, e[::-1]):
-        at_x = {colors[_normalize_edge(x, w)]: w for w in g.neighbors(x) if w != y}
-        for w in g.neighbors(y):
-            if w != x:
-                at_x.pop(colors[_normalize_edge(y, w)], None)
-        for c, w in sorted(at_x.items()):
-            f = _normalize_edge(x, w)
+    for x, y in (c.hole, c.hole[::-1]):
+        for color in _bits(c.present_mask(x) & c.missing_mask(y)):
+            f = _normalize_edge(x, c.partner(x, color))
             if f not in certified:
-                moved = dict(colors)
-                del moved[f]
-                moved[e] = c
+                moved = c.copy()
+                moved._move_hole(x, color)
                 yield f, moved
 
 
@@ -324,42 +307,12 @@ def is_delta_critical(
         if found is None:
             return False
         certified.add(e)
-        stack = [(e, found)]
+        stack = [PartialEdgeColoring.from_assignment(g, delta, found, hole=e)]
         while stack:
-            for f, moved in _hole_moves(g, *stack.pop(), certified):
+            for f, moved in _hole_moves(stack.pop(), certified):
                 certified.add(f)
-                stack.append((f, moved))
+                stack.append(moved)
     return True
-
-
-def _sample_rng(seed: int, index: int) -> random.Random:
-    # Plain integer mixing; avoids hash() so streams are interpreter-stable.
-    return random.Random((seed & 0xFFFFFFFFFFFFFFFF) * 1_000_003 + index)
-
-
-def _walk_start(
-    g: Graph, hole: tuple[int, int], label: list[int], timeout_ms: int | None
-) -> PartialEdgeColoring:
-    """The plain search of g minus ``hole`` with each vertex v renamed
-    ``label[v]``, as a coloring of g with that hole.
-
-    Renaming keeps the search's shape (symmetry pin, dense-first edge
-    order) and changes only how its ties break, so a random ``label``
-    reaches another coloring at the cost of a certificate search.  The
-    identity ``label`` gives the certificate itself.  The search's
-    assignment is read back through ``label`` into one coloring of g
-    with the hole.
-    """
-    renamed = Graph(g.n, ((label[u], label[v]) for u, v in g.edges if (u, v) != hole))
-    found = _search(renamed, g.max_degree, None, timeout_ms)
-    if found is None:
-        raise UncolorableError(
-            f"no max-degree coloring of the graph minus {hole} exists"
-        )
-    colors = {
-        e: found[_normalize_edge(label[e[0]], label[e[1]])] for e in g.edges if e != hole
-    }
-    return PartialEdgeColoring.from_assignment(g, g.max_degree, colors, hole=hole)
 
 
 def _kempe_step(c: PartialEdgeColoring, rng: random.Random) -> None:
@@ -380,52 +333,71 @@ def _kempe_step(c: PartialEdgeColoring, rng: random.Random) -> None:
 
 def sample_colorings(
     g: Graph,
-    e: tuple[int, int],
     count: int,
     seed: int,
     *,
     timeout_ms: int | None = DEFAULT_TIMEOUT_MS,
 ) -> list[PartialEdgeColoring]:
-    """``count`` proper max-degree colorings of g minus ``e``.
+    """``count`` proper max-degree colorings of g minus e for every edge e
+    of a critical g, in one list grouped by hole in ``g.edges`` order.
 
-    The samples come from a seeded Kempe walk over colorings of g with
-    hole ``e``.  Each sample is the walk's coloring after ``_WALK_SWAPS``
-    more steps; a step picks an anchor vertex, a color alpha present there
-    and a second color beta, and exchanges that whole (alpha, beta)
-    component.  Kempe swaps need not connect every such coloring, so
-    every ``_WALK_RESTART`` samples the walk restarts from the plain
-    search of g minus ``e`` under a random relabelling of its vertices,
-    drawn from the run seed and the sample's index.  The first block
-    keeps the identity labelling, so it starts from the certificate of
-    ``e``: the plain search of g minus ``e`` that :func:`is_critical_edge`
-    runs.  :func:`is_delta_critical` runs it too, but only on the edges
-    that no move of the hole reaches, so a census searches those sampled
-    edges twice and the others once, here.
+    One seeded walk draws them all.  It starts from the plain search of
+    g minus ``g.edges[0]``, the first certificate :func:`is_delta_critical`
+    finds, and searches no more.  Each step is, with probability 1/2, a
+    Kempe step (an anchor vertex, a color alpha present there, a second
+    color beta, and that whole (alpha, beta) component is exchanged), and
+    otherwise a hole move: the hole e = xy, in a random orientation, moves
+    along a random color missing at y.  Kempe swaps alone never leave a
+    Kempe class; hole moves do.  Every ``_WALK_SWAPS`` steps the walk's
+    coloring is copied into its hole's samples unless that edge has
+    ``count`` already; the walk stops when every edge has ``count``.
 
-    The list is deterministic for a given (seed, count) and is a prefix
-    of a longer run with the same seed.  Every sample is its own object,
-    never changed once made.  Diversity across seeds is all that is
-    promised; the distribution is not uniform.
+    Deterministic for a given (seed, count), and each edge's samples are
+    a prefix of its samples in a run with a larger count.  Every sample
+    is its own object, never changed once made.  The distribution is not
+    uniform.
 
-    Raises UncolorableError when no such coloring exists (``e`` was not a
-    critical edge) and OracleTimeout if a search exceeds its budget.
+    Raises UncolorableError when g minus its first edge has no such
+    coloring, ValueError when a color is missing at both ends of the hole
+    (g is class 1), and OracleTimeout when the start search exceeds its
+    budget or ``_WALK_CAP * count * m`` steps leave an edge short, as one
+    that no move reaches stays; the cap counts steps, not time.
     """
-    hole = _edge_of(g, e)
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     _check_budget(timeout_ms)
-    out = []
-    for i in range(count):
-        if i % _WALK_RESTART == 0:
-            rng = _sample_rng(seed, i)
-            label = list(range(g.n))
-            if i:
-                rng.shuffle(label)
-            walk = _walk_start(g, hole, label, timeout_ms)
-        for _ in range(_WALK_SWAPS):
+    samples: list[list[PartialEdgeColoring]] = [[] for _ in g.edges]
+    short = g.m if count else 0
+    if not short:
+        return []
+    hole = g.edges[0]
+    found = _search(g, g.max_degree, None, timeout_ms, hole)
+    if found is None:
+        raise UncolorableError(
+            f"no max-degree coloring of the graph minus {hole} exists"
+        )
+    walk = PartialEdgeColoring.from_assignment(g, g.max_degree, found, hole=hole)
+    rng = random.Random(seed)
+    cap = _WALK_CAP * count * g.m
+    for step in range(1, cap + 1):
+        if rng.random() < 0.5:
             _kempe_step(walk, rng)
-        out.append(walk.copy())
-    return out
+        else:
+            x, y = walk.hole
+            if rng.random() < 0.5:
+                x, y = y, x
+            walk._move_hole(x, rng.choice(walk.missing(y)))
+        if step % _WALK_SWAPS == 0:
+            kept = samples[walk._hole_at]
+            if len(kept) < count:
+                kept.append(walk.copy())
+                short -= len(kept) == count
+                if not short:
+                    return [c for kept in samples for c in kept]
+    e, kept = next((e, kept) for e, kept in zip(g.edges, samples) if len(kept) < count)
+    raise OracleTimeout(
+        f"walk took {cap} steps, and edge {e} has {len(kept)} of {count} samples"
+    )
 
 
 def complete_coloring(

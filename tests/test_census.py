@@ -76,32 +76,19 @@ def test_examine_cycle_record():
     assert set(rec["timings"]) == {"classify_ms", "total_ms"}
 
 
-def test_sampling_timeout_keeps_earlier_edges(monkeypatch):
-    real = chroma.oracle.sample_colorings
-    sampled = []
+def test_sampling_timeout_keeps_the_classification(monkeypatch):
+    def expire(g, *args, **kwargs):
+        raise chroma.oracle.OracleTimeout("forced")
 
-    def fail_on_second_edge(g, e, *args, **kwargs):
-        sampled.append(e)
-        if len(sampled) == 2:
-            raise chroma.oracle.OracleTimeout("forced")
-        return real(g, e, *args, **kwargs)
-
-    monkeypatch.setattr(chroma.oracle, "sample_colorings", fail_on_second_edge)
+    monkeypatch.setattr(chroma.oracle, "sample_colorings", expire)
     rec = examine_graph("Dhc", _SMALL).record
-    assert len(sampled) == 2
-    assert rec["error"] == (
-        f"oracle budget exceeded: sampling edge {sampled[1]}: forced"
-    )
+    assert rec["error"] == "oracle budget exceeded: sampling: forced"
+    assert rec["is_critical"] and rec["theorem1"]["status"] == "inapplicable"
+    # One walk samples every edge before any edge's suites run, so only
+    # parity, which reads the classification's witness, checked anything.
     lemmas = rec["lemmas"]
-    # Both edges ran val; only the first edge's 5 colorings reached the
-    # coloring suites, and the per-vertex suite never ran.
-    assert lemmas["val"]["checked"] == 4
-    assert lemmas["multifan"] == {
-        "checked": 10, "ok": 10, "inapplicable": 0, "violations": 0
-    }
-    assert lemmas["kierstead4"]["ok"] == 10
-    assert lemmas["fork"]["checked"] == 5
-    assert lemmas["degree-dichotomy"]["checked"] == 0
+    assert lemmas["parity"]["checked"] == 1
+    assert all(lemmas[s]["checked"] == 0 for s in chroma.census.SUITES if s != "parity")
     _tally_sums_consistent(rec)
 
 
@@ -181,7 +168,7 @@ def test_run_census_sorts_and_summarizes():
     }
     assert report.metadata["seed"] == 0
     assert report.metadata["samples"] == 3
-    assert report.metadata["sampler"] == chroma.oracle.SAMPLER == "kempe-walk-relabel-r10-s3"
+    assert report.metadata["sampler"] == chroma.oracle.SAMPLER == "kempe-hole-walk-s3"
     assert not report.has_findings
 
 
@@ -299,7 +286,7 @@ def test_fixture_report_bytes_pinned(fixture_corpus):
     report = run_census(fixture_corpus, CensusConfig(seed=0, samples=100))
     text = report.to_json_lines(include_timings=False)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "4da7d3fc754b9436e305ba6ab2bce8e9574afd239ac975b3bde53963fe7e6abf"
+        "7cec48ea290dff715adf49567d097413914c2a81867aef4c209b4aca0c813cd8"
     )
 
 
@@ -357,18 +344,17 @@ _COLORING_SUITES = (
 def _reference_samples(g6: str, config: CensusConfig):
     """Every sample the census draws, per edge, in census order."""
     g = chroma.graph.parse_graph6(g6)
-    for e in g.edges:
-        seed = chroma.census._edge_seed(config.seed, g6, e)
-        for c in chroma.oracle.sample_colorings(
-            g, e, config.samples, seed, timeout_ms=config.timeout_ms
-        ):
-            yield e, c
+    seed = chroma.census._graph_seed(config.seed, g6)
+    for c in chroma.oracle.sample_colorings(
+        g, config.samples, seed, timeout_ms=config.timeout_ms
+    ):
+        yield c.hole, c
 
 
 def test_census_in_the_papers_regime():
-    # Subdivided K8 is critical and meets the hypothesis of Theorem 1.  Each
-    # edge's sampling walk starts from its certificate; drawing every
-    # sample by its own randomized search took over 20 s on this graph.
+    # Subdivided K8 is critical and meets the hypothesis of Theorem 1.  The
+    # sampling walk searches only for its start; drawing every sample by
+    # its own randomized search took over 20 s on this graph.
     g6 = chroma.graph.to_graph6(families.subdivided_complete(8))
     start = time.perf_counter()
     rec = examine_graph(g6, CensusConfig(seed=0, samples=10)).record

@@ -9,6 +9,7 @@ import pytest
 
 import chroma.fans
 import chroma.kpath5
+import chroma.oracle
 import chroma.overfull
 from chroma import (
     COUNTEREXAMPLE,
@@ -245,6 +246,23 @@ def test_verify_lemmas_error_without_findings_exits_3(tmp_path, capsys):
     path = _write(tmp_path, "k10sub.g6", g6 + "\n")
     assert main(["verify-lemmas", path, "--timeout-ms", "1"]) == 3
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
+    assert summary["errors"] == 1
+    assert summary["violations"] == summary["dead_ends"] == 0
+
+
+def test_census_exits_3_when_the_walk_runs_out_of_steps(tmp_path, capsys, monkeypatch):
+    # At one step per sample asked for, the walk on C5 takes 10 steps and
+    # draws 3 samples, so some edge has fewer than 2.  The cap counts
+    # steps, not time, so the record is the same on every machine.
+    monkeypatch.setattr(chroma.oracle, "_WALK_CAP", 1)
+    path = _write(tmp_path, "c5.g6", _C5 + "\n")
+    assert main(["census", "--samples", "2", path]) == 3
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert json.loads(lines[0])["error"] == (
+        "oracle budget exceeded: sampling: walk took 10 steps, and edge (0, 1)"
+        " has 0 of 2 samples"
+    )
+    summary = json.loads(lines[-1])["summary"]
     assert summary["errors"] == 1
     assert summary["violations"] == summary["dead_ends"] == 0
 

@@ -137,8 +137,7 @@ def _fixture_colorings():
     The K5 colorings are three seeded walks of four random whole-chain
     swaps each from the plain completion, three distinct ones per edge."""
     for g in (families.cycle(5), families.petersen_minus_vertex()):
-        for e in g.edges:
-            yield from oracle.sample_colorings(g, e, 3, 0)
+        yield from oracle.sample_colorings(g, 3, 0)
     k5 = families.complete(5)
     for e in k5.edges:
         plain = oracle.complete_coloring(empty_partial(k5, e, 5))
@@ -374,6 +373,39 @@ def _rescanned_count(c: PartialEdgeColoring) -> int:
     return sum(1 for _, color in c.edge_items() if color)
 
 
+def test_move_hole_twice_is_the_identity():
+    # Moving the hole e = xy along a color missing at y, then along the
+    # same color at the same end, restores the coloring.
+    moves = 0
+    for g in (
+        families.cycle(5),
+        families.subdivided_complete(4),
+        families.petersen_minus_vertex(),
+    ):
+        for c in oracle.sample_colorings(g, 2, seed=4):
+            before = (c.hole, list(c.edge_items()))
+            for x, y in (c.hole, c.hole[::-1]):
+                for color in c.missing(y):
+                    moved = c.copy()
+                    moved._move_hole(x, color)
+                    assert moved.check_proper() == [] and moved.is_complete
+                    assert moved.hole == tuple(sorted((x, c.partner(x, color))))
+                    assert moved.color(*c.hole) == color
+                    moved._move_hole(x, color)
+                    assert moved.check_proper() == []
+                    assert (moved.hole, list(moved.edge_items())) == before
+                    moves += 1
+            assert (c.hole, list(c.edge_items())) == before
+    assert moves
+    # On C5 the one color missing at an end of the hole is present at the
+    # other, and vertex 2 is no end of the hole (0, 1).
+    c = oracle.sample_colorings(families.cycle(5), 1, seed=0)[0]
+    assert c.hole == (0, 1)
+    for x, color in ((0, c.missing(0)[0]), (2, 1)):
+        with pytest.raises(ValueError, match="cannot move the hole"):
+            c.copy()._move_hole(x, color)
+
+
 def test_colored_count_follows_every_mutation():
     c = _p4()
     results = [c, c.copy()]
@@ -383,7 +415,7 @@ def test_colored_count_follows_every_mutation():
     assert (shell.colored_count, shell.is_complete) == (1, False)
     results.append(shell)
     g = families.petersen_minus_vertex()
-    for sample in oracle.sample_colorings(g, g.edges[0], 3, seed=1):
+    for sample in oracle.sample_colorings(g, 3, seed=1)[:3]:
         results.append(sample)
         x = g.edges[0][0]
         a = sample.missing(x)[0]

@@ -52,13 +52,6 @@ def _host(
     return PartialEdgeColoring.from_assignment(g, k, assign, hole=hole)
 
 
-def _critical_samples(g: Graph, per_edge: int = 12) -> list[PartialEdgeColoring]:
-    out = []
-    for e in g.edges:
-        out.extend(sample_colorings(g, e, per_edge, seed=3))
-    return out
-
-
 # -- multifans --------------------------------------------------------------
 
 
@@ -676,8 +669,7 @@ def _sampled_hosts() -> list[PartialEdgeColoring]:
         families.petersen_minus_vertex(),
         families.subdivided_complete(6),
     ):
-        for e in g.edges:
-            hosts.extend(sample_colorings(g, e, 3, seed=5))
+        hosts.extend(sample_colorings(g, 3, seed=5))
     return hosts
 
 
@@ -876,5 +868,5 @@ def test_sweep_on_critical_hosts():
         for x, y in g.edges:
             assert check_val(g, x, y).status == OK
             assert check_val(g, y, x).status == OK
-        for c in _critical_samples(g):
+        for c in sample_colorings(g, 12, seed=3):
             _assert_no_violations(c)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -25,7 +25,7 @@ from chroma import (
     sample_colorings,
     to_graph6,
 )
-from chroma.census import _edge_seed
+from chroma.census import _graph_seed
 
 # Known chromatic indices, hand-checkable or classical.
 _GROUND_TRUTH = [
@@ -90,12 +90,12 @@ def test_timeout_budget():
     with pytest.raises(ValueError, match="timeout must be positive"):
         decide_colorable(k3, 3, timeout_ms=0)
     with pytest.raises(ValueError, match="timeout must be positive"):
-        sample_colorings(k3, (0, 1), 1, seed=0, timeout_ms=0)
+        sample_colorings(k3, 1, seed=0, timeout_ms=0)
     with pytest.raises(ValueError, match="timeout must be positive"):
         complete_coloring(empty_partial(k3, None, 3), timeout_ms=0)
     # None means no budget at all.
     assert decide_colorable(k3, 3, timeout_ms=None) is not None
-    assert len(sample_colorings(k3, (0, 1), 2, seed=0, timeout_ms=None)) == 2
+    assert len(sample_colorings(k3, 2, seed=0, timeout_ms=None)) == 6
     assert complete_coloring(empty_partial(k3, None, 3), timeout_ms=None).is_complete
 
 
@@ -226,10 +226,11 @@ def test_every_moved_coloring_is_proper(monkeypatch):
     moves = oracle._hole_moves
     made = []
 
-    def checked(g, e, colors, certified):
-        for f, moved in moves(g, e, colors, certified):
-            c = PartialEdgeColoring.from_assignment(g, g.max_degree, moved, hole=f)
-            assert c.check_proper() == [] and c.is_complete, (g.edges, e, f)
+    def checked(c, certified):
+        for f, moved in moves(c, certified):
+            assert moved.hole == f and f not in certified, (c.graph.edges, c.hole)
+            assert moved.check_proper() == [] and moved.is_complete, (c.graph.edges, f)
+            assert c.check_proper() == [] and c.hole != f
             made.append(f)
             yield f, moved
 
@@ -254,20 +255,19 @@ def test_kempe_step_skips_an_anchor_with_no_color_present():
     assert rng.getstate() == expected.getstate()
 
 
+def _samples_of(g: Graph, e: tuple[int, int], count: int, seed: int):
+    """Edge e's samples from the one walk over g."""
+    return [c for c in sample_colorings(g, count, seed) if c.hole == e]
+
+
 def test_sample_colorings_shape_and_determinism():
     g = families.subdivided_complete(4)
-    e = g.edges[0]
-    first = sample_colorings(g, e, 6, seed=42)
-    again = sample_colorings(g, e, 6, seed=42)
-    assert len(first) == 6
-    for a, b in zip(first, again):
-        assert dict(a.edge_items()) == dict(b.edge_items())
-    prefix = sample_colorings(g, e, 3, seed=42)
-    for a, b in zip(prefix, first):
-        assert dict(a.edge_items()) == dict(b.edge_items())
+    first = sample_colorings(g, 6, seed=42)
+    again = sample_colorings(g, 6, seed=42)
+    assert [c.hole for c in first] == [e for e in g.edges for _ in range(6)]
+    assert list(map(_colors, first)) == list(map(_colors, again))
     for c in first:
-        assert c.hole == e
-        assert c.color(*e) == 0
+        assert c.color(*c.hole) == 0
         assert c.k == g.max_degree
         assert c.is_complete
         assert c.check_proper() == []
@@ -275,9 +275,8 @@ def test_sample_colorings_shape_and_determinism():
 
 def test_sample_colorings_vary_across_seeds():
     g = families.subdivided_complete(4)
-    e = g.edges[0]
-    a = sample_colorings(g, e, 8, seed=0)
-    b = sample_colorings(g, e, 8, seed=1)
+    a = sample_colorings(g, 8, seed=0)
+    b = sample_colorings(g, 8, seed=1)
     assert any(
         dict(x.edge_items()) != dict(y.edge_items()) for x, y in zip(a, b)
     )
@@ -285,19 +284,16 @@ def test_sample_colorings_vary_across_seeds():
 
 def test_sample_colorings_edge_cases():
     g = families.cycle(5)
-    assert sample_colorings(g, (0, 1), 0, seed=0) == []
+    assert sample_colorings(g, 0, seed=0) == []
+    assert sample_colorings(Graph(3), 5, seed=0) == []
     # The budget is checked even when no sample is asked for.
     with pytest.raises(ValueError, match="timeout must be positive"):
-        sample_colorings(g, (0, 1), 0, seed=0, timeout_ms=0)
+        sample_colorings(g, 0, seed=0, timeout_ms=0)
     with pytest.raises(ValueError, match="nonnegative"):
-        sample_colorings(g, (0, 1), -1, seed=0)
-    with pytest.raises(ValueError, match="not in graph"):
-        sample_colorings(g, (0, 2), 1, seed=0)
-    # The Petersen graph is class 2 with no critical edge, so the graph
-    # minus any edge still needs five colors and sampling must refuse.
-    p = families.petersen()
-    with pytest.raises(UncolorableError, match="no max-degree coloring"):
-        sample_colorings(p, p.edges[0], 1, seed=0)
+        sample_colorings(g, -1, seed=0)
+    # K4 is class 1: the walk meets a hole whose two ends miss one color.
+    with pytest.raises(ValueError, match="cannot move the hole"):
+        sample_colorings(families.complete(4), 3, seed=0)
 
 
 def test_complete_coloring_respects_presets():
@@ -358,42 +354,46 @@ def _renamed(colors) -> tuple[int, ...]:
 
 
 def test_walk_samples_are_proper_near_colorings():
-    # 25 samples cross two restarts of the walk.
     for g in _WALK_HOSTS:
-        for e in g.edges:
-            for c in sample_colorings(g, e, 25, seed=3):
-                assert c.check_proper() == []
-                assert c.is_complete
-                assert c.hole == e and c.color(*e) == 0
-                assert c.k == g.max_degree
+        samples = sample_colorings(g, 25, seed=3)
+        assert [c.hole for c in samples] == [e for e in g.edges for _ in range(25)]
+        for c in samples:
+            assert c.check_proper() == []
+            assert c.is_complete
+            assert c.color(*c.hole) == 0
+            assert c.k == g.max_degree
 
 
 def test_walk_prefix():
+    # Each edge's first samples do not depend on how many the walk
+    # gathers for it, nor on when the other edges fill up.
     for g in _WALK_HOSTS:
-        for e in g.edges:
-            full = [_colors(c) for c in sample_colorings(g, e, 25, seed=5)]
-            for count in (1, 10, 11, 24):
-                prefix = sample_colorings(g, e, count, seed=5)
-                assert [_colors(c) for c in prefix] == full[:count]
+        full = sample_colorings(g, 25, seed=5)
+        for count in (1, 10, 11, 24):
+            prefix = sample_colorings(g, count, seed=5)
+            for e in g.edges:
+                assert [_colors(c) for c in prefix if c.hole == e] == [
+                    _colors(c) for c in full if c.hole == e
+                ][:count]
 
 
 def test_walk_never_changes_a_returned_sample():
     g = families.subdivided_complete(4)
     e = g.edges[0]
-    samples = sample_colorings(g, e, 25, seed=9)
+    samples = sample_colorings(g, 25, seed=9)
     assert len({id(c) for c in samples}) == len(samples)
-    # Sample i of a run that went on equals the last sample of a run that
-    # stopped right after it.
-    for i, c in enumerate(samples):
-        last = sample_colorings(g, e, i + 1, seed=9)[-1]
+    # Sample i of an edge in a run that went on equals that edge's last
+    # sample in a run that stopped right after it.
+    for i, c in enumerate(samples[:25]):
+        last = _samples_of(g, e, i + 1, seed=9)[-1]
         assert _colors(c) == _colors(last)
-    assert len(set(map(_colors, samples))) > 1
+    assert len(set(map(_colors, samples[:25]))) > 1
 
 
-def test_walk_restarts_reach_another_kempe_class():
+def test_walk_reaches_both_kempe_classes_of_an_edge():
     # D]w is K_{2,3} plus the edge (2, 4).  Up to renaming colors, K_{2,3}
     # has exactly two 3-edge-colorings, and no Kempe swap moves between
-    # them, so only a restart can reach the other one.
+    # them, so only moving the hole away and back can reach the other one.
     g = parse_graph6("D]w")
     e = (2, 4)
     k23 = g.without_edge(*e)
@@ -406,53 +406,72 @@ def test_walk_restarts_reach_another_kempe_class():
         if len({(x, c) for ends, c in zip(k23.edges, colors) for x in ends}) == 12
     }
     assert len(classes) == 2
-    samples = sample_colorings(g, e, 100, seed=0)
-    blocks = [
-        {_renamed(c.color(u, v) for u, v in k23.edges) for c in samples[i : i + 10]}
-        for i in range(0, 100, 10)
-    ]
-    # The walk stays in one class between restarts, and the restarts
-    # between them reach both.
-    assert all(len(block) == 1 for block in blocks)
-    assert set().union(*blocks) == classes
-
-
-def test_walk_restarts_finish_in_the_papers_regime():
-    # Subdivided K10 meets the theorem's hypothesis, and its census at
-    # seed 0 samples edge (3, 4) from this seed.  Every restart must keep
-    # the symmetry pin: an unpinned search of this G − e runs for millions
-    # of nodes, past the default budget.
-    g = families.subdivided_complete(10)
-    e = (3, 4)
-    seed = _edge_seed(0, to_graph6(g), e)
-    samples = sample_colorings(g, e, 100, seed)
+    samples = _samples_of(g, e, 100, seed=0)
     assert len(samples) == 100
+    assert {_renamed(c.color(u, v) for u, v in k23.edges) for c in samples} == classes
+
+
+def test_walk_reaches_a_single_coloring_kempe_class():
+    # On subdivided K8, 960 of the 961 Kempe classes of near-colorings of
+    # G − (0, 8) hold a single coloring: every Kempe swap of it only
+    # renames colors.  Kempe swaps alone never reach one from another
+    # class.
+    g = families.subdivided_complete(8)
+
+    def alone(c: PartialEdgeColoring) -> bool:
+        key = _renamed(_colors(c))
+        return all(
+            _renamed(_colors(c.swap(c.kempe_chain(v, alpha, beta)))) == key
+            for v in range(g.n)
+            for alpha, beta in combinations(range(1, c.k + 1), 2)
+        )
+
+    assert any(alone(c) for c in _samples_of(g, (0, 8), 100, seed=0))
+
+
+def test_walk_finishes_in_the_papers_regime():
+    # Subdivided K10 meets the theorem's hypothesis, and its census at
+    # seed 0 samples it from this seed.  The walk's one search, its start,
+    # keeps the symmetry pin: an unpinned search of this G − e runs for
+    # millions of nodes, past the default budget.
+    g = families.subdivided_complete(10)
+    samples = sample_colorings(g, 100, _graph_seed(0, to_graph6(g)))
+    assert len(samples) == 100 * g.m
     assert all(c.is_complete and c.check_proper() == [] for c in samples)
 
 
 def test_walk_refuses_a_non_critical_edge():
+    # The first edge of each host is not critical, so the walk has no
+    # start.
     for host in (families.petersen(), families.complete(5)):
         with pytest.raises(UncolorableError, match="no max-degree coloring"):
-            sample_colorings(host, host.edges[0], 5, seed=0)
+            sample_colorings(host, 5, seed=0)
+    # Er`o is class 2 and its first edge is critical, but its pendant edge
+    # (0, 4) is not, so no move takes the hole there and the step cap ends
+    # the walk.
+    host = parse_graph6("Er`o")
+    assert not is_critical_edge(host, (0, 4))
+    with pytest.raises(OracleTimeout, match=r"edge \(0, 4\) has 0 of 2 samples"):
+        sample_colorings(host, 2, seed=0)
 
 
-# SHA-256 over the color lists of 20 samples (seed 17) on every edge of
-# four critical graphs.  The census reports are built from these streams,
+# SHA-256 over the color lists of 20 samples (seed 17) of every edge of
+# four critical graphs, in the walk's order.  The census reports are built from these streams,
 # so an edit to the sampler that moves them must fail here first.
-_SAMPLE_STREAM_SHA256 = "73251c16c3908cd413d837c2475399d1d423ba000d0221c81d0730e7cda59029"
+_SAMPLE_STREAM_SHA256 = "2b2b0420783000c1cb240ddb57836c9b11e0638b066e6cdb01d00aec7f332b73"
 
 
 def test_sample_stream_is_pinned():
     h = hashlib.sha256()
     for g in _WALK_HOSTS:
-        for e in g.edges:
-            for c in sample_colorings(g, e, 20, seed=17):
-                h.update(bytes(_colors(c)))
+        for c in sample_colorings(g, 20, seed=17):
+            h.update(bytes(_colors(c)))
     assert h.hexdigest() == _SAMPLE_STREAM_SHA256
 
 
 # SHA-256 over every edge e of every fixture: the coloring of G − e that
-# certifies e, from which the sampler's walk on e starts; "-" where G − e
+# certifies e, from which, for the first edge, the sampler's walk
+# starts; "-" where G − e
 # needs another color.  It is hashed from a search of the rebuilt graph
 # g.without_edge(*e); the oracle searches g with e as a hole instead and
 # must agree.  The completion of empty_partial(g, e, max degree) searches
