@@ -298,7 +298,7 @@ def _critical_suites(
         seen: dict[tuple[int, ...], tuple[list, list[tuple[str, str]]]] = {}
         classes: dict[tuple[int, ...], tuple[list, list[tuple[str, str]]]] = {}
         for c in per_edge[e]:
-            key = tuple(color for _, color in c.edge_items())
+            key = c.edge_colors
             if key not in seen:
                 names = {0: 0}
                 renamed = tuple([names.setdefault(x, len(names)) for x in key])

@@ -169,6 +169,11 @@ class PartialEdgeColoring:
         return zip(self._graph.edges, self._colors)
 
     @property
+    def edge_colors(self) -> tuple[int, ...]:
+        """The color of each edge in edge order, 0 meaning unassigned."""
+        return tuple(self._colors)
+
+    @property
     def is_complete(self) -> bool:
         """True when every edge except the designated hole is colored."""
         if self._hole_at is None:
@@ -187,7 +192,7 @@ class PartialEdgeColoring:
         other._colors = self._colors[:]
         other._count = self._count
         other._present = self._present[:]
-        other._slot = [row[:] for row in self._slot]
+        other._slot = list(map(list.copy, self._slot))
         return other
 
     @classmethod
@@ -337,19 +342,21 @@ class PartialEdgeColoring:
     def _exchange(
         self, edges: Iterable[tuple[int, int]], alpha: int, beta: int
     ) -> None:
-        """Exchange ``alpha`` and ``beta`` on ``edges`` in place.
+        """Exchange ``alpha`` and ``beta`` in place on an explicit list of
+        edges, checking the result.
 
-        The one chain flip: :meth:`swap` applies it to a fresh copy, and
-        the oracle's Kempe walk to its private working coloring, so no
-        coloring handed to a caller changes.  Exchanging a whole
-        component stays proper; an improper exchange raises ValueError
-        and leaves this coloring half flipped.
+        :meth:`swap` applies it to a fresh copy, so no coloring handed to
+        a caller changes.  The list may be a segment from
+        :meth:`swap_subchain`, whose exchange can be improper: that raises
+        ValueError and leaves this coloring half flipped.  A whole
+        component needs no check, and :meth:`_flip` exchanges one given
+        any of its vertices.
         """
-        index = self._graph.edge_index
+        index = self._graph._edge_index
         colors, present, slot = self._colors, self._present, self._slot
         flipped = []
         for u, v in edges:
-            i = index(u, v)
+            i = index[(u, v) if u < v else (v, u)]
             c = colors[i]
             present[u] ^= 1 << c
             present[v] ^= 1 << c
@@ -367,6 +374,44 @@ class PartialEdgeColoring:
             slot[u][c] = v
             slot[v][c] = u
 
+    def _flip(self, x: int, alpha: int, beta: int) -> None:
+        """Exchange ``alpha`` and ``beta`` in place on the whole
+        (alpha, beta)-component through ``x``; nothing changes when
+        neither color is present at ``x``.
+
+        The sampler's Kempe step.  It walks the slot table once from
+        ``x``, first along ``alpha``, then along ``beta`` unless the first
+        walk came back to ``x`` round a cycle.  It recolors each edge it
+        crosses, swaps the two colors' slot entries at each vertex it
+        reaches and toggles both present bits at each path end.  A whole
+        component stays proper, so nothing is checked, and flipping it
+        twice restores the coloring.  The result equals :meth:`swap` of
+        :meth:`kempe_chain` at ``x``, built with no list and no copy.
+        """
+        index = self._graph._edge_index
+        colors, present, slot = self._colors, self._present, self._slot
+        row = slot[x]
+        a, b = row[alpha], row[beta]
+        if a < 0 and b < 0:
+            return
+        row[alpha], row[beta] = b, a
+        if a < 0 or b < 0:
+            present[x] ^= (1 << alpha) | (1 << beta)
+        for cur, c, d in ((a, alpha, beta), (b, beta, alpha)):
+            # The edge from prev to cur carries c and takes d; the edge
+            # leaving cur carries d and takes c.
+            prev = x
+            while cur >= 0:
+                colors[index[(prev, cur) if prev < cur else (cur, prev)]] = d
+                if cur == x:
+                    return
+                row = slot[cur]
+                nxt = row[d]
+                row[c], row[d] = nxt, prev
+                if nxt < 0:
+                    present[cur] ^= (1 << c) | (1 << d)
+                prev, cur, c, d = cur, nxt, d, c
+
     def _move_hole(self, x: int, color: int) -> None:
         """Move the hole e = xy in place to the ``color``-edge xw at x,
         which e takes, as in Vizing's fan recoloring.  ``color`` must be
@@ -379,7 +424,7 @@ class PartialEdgeColoring:
         bit = 1 << color
         if x not in (u, v) or w < 0 or self._present[y] & bit:
             raise ValueError(f"cannot move the hole {self._hole} along color {color} at {x}")
-        f = self._graph.edge_index(x, w)
+        f = self._graph._edge_index[(x, w) if x < w else (w, x)]
         self._colors[f] = 0
         self._colors[self._hole_at] = color
         self._present[w] ^= bit
@@ -387,7 +432,7 @@ class PartialEdgeColoring:
         self._slot[w][color] = -1
         self._slot[x][color] = y
         self._slot[y][color] = x
-        self._hole = _normalize_edge(x, w)
+        self._hole = (x, w) if x < w else (w, x)
         self._hole_at = f
 
     def swap_subchain(

@@ -18,9 +18,11 @@ recolors a single edge and certifies the other edge with no search, so
 only edges that no move reaches are searched.  Each caller that hands
 out a coloring builds exactly one, on the graph it holds.  The sampler
 is one seeded walk per graph that mixes Kempe swaps with the same hole
-move; it runs no search after its start.  Searches carry a wall-clock
-budget and report expiry as :class:`OracleTimeout`, never as a
-class-1/class-2 answer.
+move; it runs no search after its start.  Both steps change the walk's
+private coloring in place, a Kempe swap by one pass over the slot table
+of the component it flips, and only copies of it are handed out.
+Searches carry a wall-clock budget and report expiry as
+:class:`OracleTimeout`, never as a class-1/class-2 answer.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import xor
 from typing import Iterator
 
@@ -315,22 +317,6 @@ def is_delta_critical(
     return True
 
 
-def _kempe_step(c: PartialEdgeColoring, rng: random.Random) -> None:
-    """Exchange one random whole two-colored component of ``c`` in place:
-    an anchor vertex, a color alpha at it, any other color beta."""
-    v = rng.randrange(c.graph.n)
-    present = _bits(c.present_mask(v))
-    if not present or c.k < 2:
-        return
-    alpha = rng.choice(present)
-    beta = rng.randrange(1, c.k)
-    if beta >= alpha:
-        beta += 1
-    verts, is_cycle = c._component(v, alpha, beta)
-    ends = verts[1:] + verts[:1] if is_cycle else verts[1:]
-    c._exchange(zip(verts, ends), alpha, beta)
-
-
 def sample_colorings(
     g: Graph,
     count: int,
@@ -351,6 +337,16 @@ def sample_colorings(
     Kempe class; hole moves do.  Every ``_WALK_SWAPS`` steps the walk's
     coloring is copied into its hole's samples unless that edge has
     ``count`` already; the walk stops when every edge has ``count``.
+
+    The walk's coloring is private and changed in place: a Kempe step is
+    one :meth:`PartialEdgeColoring._flip` and a hole move one
+    :meth:`PartialEdgeColoring._move_hole`, the move that certification
+    makes.  A Kempe step draws ``random()``, the anchor, alpha and beta,
+    as ``randrange(n)``, ``choice`` and ``randrange(1, k)`` would, and
+    nothing after the anchor if no color is present there; a hole move
+    draws ``random()`` twice and its color, as ``choice`` would.  So the
+    samples depend on the seed through these draws alone, not on how a
+    step is carried out.
 
     Deterministic for a given (seed, count), and each edge's samples are
     a prefix of its samples in a run with a larger count.  Every sample
@@ -378,15 +374,33 @@ def sample_colorings(
         )
     walk = PartialEdgeColoring.from_assignment(g, g.max_degree, found, hole=hole)
     rng = random.Random(seed)
+    # Random.randrange(n), choice(seq) and randrange(1, k) each draw
+    # exactly _randbelow(n), seq[_randbelow(len(seq))] and
+    # 1 + _randbelow(k - 1), so calling it directly keeps the stream.  It
+    # never gets 0, on which it would loop: an anchor with no color
+    # present draws nothing more, and at least one color is missing at
+    # either end of the hole.  bits keeps each mask's colors for the walk.
+    draw, below = rng.random, rng._randbelow
+    flip, move = walk._flip, walk._move_hole
+    present, full, n, k = walk._present, walk._full, g.n, walk.k
+    bits = cache(_bits)
     cap = _WALK_CAP * count * g.m
     for step in range(1, cap + 1):
-        if rng.random() < 0.5:
-            _kempe_step(walk, rng)
+        if draw() < 0.5:
+            v = below(n)
+            if present[v] and k > 1:
+                colors = bits(present[v])
+                alpha = colors[below(len(colors))]
+                beta = 1 + below(k - 1)
+                if beta >= alpha:
+                    beta += 1
+                flip(v, alpha, beta)
         else:
-            x, y = walk.hole
-            if rng.random() < 0.5:
+            x, y = walk._hole
+            if draw() < 0.5:
                 x, y = y, x
-            walk._move_hole(x, rng.choice(walk.missing(y)))
+            missing = bits(full & ~present[y])
+            move(x, missing[below(len(missing))])
         if step % _WALK_SWAPS == 0:
             kept = samples[walk._hole_at]
             if len(kept) < count:

@@ -181,6 +181,29 @@ def test_kempe_chain_matches_reference_component():
     assert checked["path"] and checked["cycle"]
 
 
+def _state(c: PartialEdgeColoring):
+    return c.edge_colors, c.hole, c._present, c._slot, c.colored_count
+
+
+def test_flip_equals_swap_of_the_whole_chain():
+    # _flip exchanges the component in place with no chain built; at an
+    # anchor with neither color it changes nothing, as swapping the
+    # one-vertex chain does.
+    shapes = {"path": 0, "cycle": 0, "trivial": 0}
+    for c in _fixture_colorings():
+        for x in range(c.graph.n):
+            for alpha, beta in itertools.permutations(range(1, c.k + 1), 2):
+                chain = c.kempe_chain(x, alpha, beta)
+                flipped = c.copy()
+                flipped._flip(x, alpha, beta)
+                assert flipped.check_proper() == []
+                assert _state(flipped) == _state(c.swap(chain))
+                flipped._flip(x, alpha, beta)
+                assert _state(flipped) == _state(c)
+                shapes["trivial" if not chain.edges else chain.shape] += 1
+    assert all(shapes.values()), shapes
+
+
 def test_swap_is_involution_and_leaves_original():
     c = _p4()
     chain = c.kempe_chain(0, 1, 2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,7 @@ from chroma import (
     to_graph6,
 )
 from chroma.census import _graph_seed
+from chroma.graph import _bits
 
 # Known chromatic indices, hand-checkable or classical.
 _GROUND_TRUTH = [
@@ -243,16 +245,116 @@ def test_every_moved_coloring_is_proper(monkeypatch):
     assert made
 
 
-def test_kempe_step_skips_an_anchor_with_no_color_present():
-    # Every anchor of an uncolored shell has no color present, so a step
-    # draws only the anchor and changes nothing.
-    c = empty_partial(families.cycle(5), (0, 1), 3)
-    rng = random.Random(4)
-    oracle._kempe_step(c, rng)
-    assert c.colored_count == 0 and c.check_proper() == []
-    expected = random.Random(4)
-    expected.randrange(5)
-    assert rng.getstate() == expected.getstate()
+def _reference_kempe_step(c: PartialEdgeColoring, rng: random.Random) -> bool:
+    """The walk's Kempe step through the chain machinery: an anchor, a
+    color alpha present there, any other color beta, and the whole
+    component listed by ``_component`` and exchanged edge by edge.
+    False when the anchor has no color present, after drawing only it."""
+    v = rng.randrange(c.graph.n)
+    present = _bits(c.present_mask(v))
+    if not present or c.k < 2:
+        return False
+    alpha = rng.choice(present)
+    beta = rng.randrange(1, c.k)
+    if beta >= alpha:
+        beta += 1
+    verts, is_cycle = c._component(v, alpha, beta)
+    ends = verts[1:] + verts[:1] if is_cycle else verts[1:]
+    c._exchange(zip(verts, ends), alpha, beta)
+    return True
+
+
+def _reference_walk(g: Graph, count: int, seed: int):
+    """``sample_colorings`` on a critical g, step by step with
+    ``_reference_kempe_step`` and ``random.Random``'s public draws; also
+    returns the generator and the number of anchors with no color."""
+    found = oracle._search(g, g.max_degree, None, None, g.edges[0])
+    walk = PartialEdgeColoring.from_assignment(g, g.max_degree, found, hole=g.edges[0])
+    rng = random.Random(seed)
+    samples: list[list[PartialEdgeColoring]] = [[] for _ in g.edges]
+    bare = step = 0
+    while any(len(kept) < count for kept in samples):
+        step += 1
+        if rng.random() < 0.5:
+            bare += not _reference_kempe_step(walk, rng)
+        else:
+            x, y = walk.hole
+            if rng.random() < 0.5:
+                x, y = y, x
+            walk._move_hole(x, rng.choice(walk.missing(y)))
+        if step % oracle._WALK_SWAPS == 0:
+            kept = samples[g.edges.index(walk.hole)]
+            if len(kept) < count:
+                kept.append(walk.copy())
+    return [c for kept in samples for c in kept], rng, bare
+
+
+def _assert_walk_matches_reference(monkeypatch, g: Graph, count: int, seed: int) -> int:
+    """The samples of ``sample_colorings`` equal the reference walk's,
+    colors, hole, present masks and slot tables, and its generator ends
+    in the same state; returns the reference's anchors with no color."""
+    made = []
+
+    def recorded(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "random", SimpleNamespace(Random=recorded))
+        got = sample_colorings(g, count, seed)
+    want, rng, bare = _reference_walk(g, count, seed)
+    assert len(got) == len(want) == count * g.m
+    for a, b in zip(got, want):
+        assert a.check_proper() == [], (g.edges, seed)
+        assert (a.edge_colors, a.hole, a._present, a._slot) == (
+            b.edge_colors, b.hole, b._present, b._slot
+        ), (g.edges, seed)
+    assert [r.getstate() for r in made] == [rng.getstate()]
+    return bare
+
+
+def test_walk_matches_the_reference_walk_on_the_fixtures(monkeypatch):
+    critical = [g for _, g in families.basic_fixtures() if is_delta_critical(g)]
+    assert len(critical) == 7
+    for g in critical:
+        _assert_walk_matches_reference(monkeypatch, g, 10, seed=0)
+    _assert_walk_matches_reference(monkeypatch, families.subdivided_complete(8), 5, seed=0)
+
+
+def test_walk_matches_the_reference_walk_on_the_atlas(monkeypatch):
+    nx = pytest.importorskip("networkx")
+    hosts = []
+    for G in nx.graph_atlas_g():
+        if G.number_of_edges() and nx.is_connected(G):
+            g = Graph(G.number_of_nodes(), G.edges())
+            if is_delta_critical(g):
+                hosts.append(g)
+    assert len(hosts) == 26
+    for seed in range(5):
+        for g in hosts:
+            _assert_walk_matches_reference(monkeypatch, g, 5, seed)
+
+
+def test_kempe_step_skips_an_anchor_with_no_color_present(monkeypatch):
+    # Vertex 5 of C5 plus an isolated vertex never has a color, so a Kempe
+    # step anchored there draws nothing more and changes nothing.
+    g = Graph(6, families.cycle(5).edges)
+    assert _assert_walk_matches_reference(monkeypatch, g, 20, seed=4) > 0
+
+
+def test_randbelow_draws_as_randrange_and_choice():
+    # sample_colorings calls Random._randbelow directly in place of
+    # randrange(n), choice(seq) and randrange(1, k); the walk needs
+    # n up to the vertex count and k up to 62 colors.
+    for n in range(1, 63):
+        seq = tuple(range(10, 10 + n))
+        public, direct = random.Random(n), random.Random(n)
+        for _ in range(20):
+            assert public.randrange(n) == direct._randbelow(n)
+            assert public.choice(seq) == seq[direct._randbelow(n)]
+            if n > 1:
+                assert public.randrange(1, n) == 1 + direct._randbelow(n - 1)
+        assert public.getstate() == direct.getstate()
 
 
 def _samples_of(g: Graph, e: tuple[int, int], count: int, seed: int):
@@ -294,6 +396,11 @@ def test_sample_colorings_edge_cases():
     # K4 is class 1: the walk meets a hole whose two ends miss one color.
     with pytest.raises(ValueError, match="cannot move the hole"):
         sample_colorings(families.complete(4), 3, seed=0)
+    # With one color a Kempe step has no second color to draw: at seed 1
+    # one anchors at a colored vertex and changes nothing, and then the
+    # hole, whose ends miss that color, cannot move.
+    with pytest.raises(ValueError, match="cannot move the hole"):
+        sample_colorings(Graph(4, [(0, 1), (2, 3)]), 1, seed=1)
 
 
 def test_complete_coloring_respects_presets():
@@ -343,7 +450,7 @@ _WALK_HOSTS = (
 
 
 def _colors(c: PartialEdgeColoring) -> tuple[int, ...]:
-    return tuple(color for _, color in c.edge_items())
+    return c.edge_colors
 
 
 def _renamed(colors) -> tuple[int, ...]:
