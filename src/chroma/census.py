@@ -330,8 +330,10 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
 
     Oracle budget expiry does not abort the run; the record keeps the
     fields computed so far, the oracle-free ``overfull`` verdict, and an
-    ``error`` note.  Edgeless graphs get the conventional chromatic index
-    0 and skip every coloring-based check.
+    ``error`` note.  When the classification expires, ``theorem1`` is
+    still set: ``inapplicable`` if the degree condition fails, which needs
+    no oracle, and ``undecided`` if it holds.  Edgeless graphs get the
+    conventional chromatic index 0 and skip every coloring-based check.
     """
     g = parse_graph6(line)
     g6 = to_graph6(g)
@@ -400,6 +402,15 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
     except oracle.OracleTimeout as exc:
         record.setdefault("overfull", ov_field)
         error = f"oracle budget exceeded: {exc}"
+        if "theorem1" not in record:
+            # The classification expired.  The hypothesis needs no oracle;
+            # where it holds, criticality is what stays undecided.
+            if ov_field["hypothesis"]:
+                status, detail = overfull.UNDECIDED, f"criticality undecided: {exc}"
+            else:
+                margin = ov_field["hypothesis_margin"]
+                status, detail = INAPPLICABLE, f"degree condition fails with margin {margin}"
+            record["theorem1"] = {"status": status, "detail": detail}
     record["lemmas"] = tallies
     if error is not None:
         record["error"] = error

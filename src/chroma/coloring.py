@@ -325,9 +325,13 @@ class PartialEdgeColoring:
     def swap(self, chain: KempeChain) -> "PartialEdgeColoring":
         """Exchange the two colors along a whole chain.
 
-        Swapping a maximal component keeps the coloring proper, and doing
-        it twice restores the original value.  Raises ValueError if the
-        chain is stale (an edge changed color since extraction).
+        The exchange is :meth:`_flip` at the chain's first vertex, on a
+        copy, so it keeps the coloring proper, and doing it twice restores
+        the original value.  Raises ValueError if the chain is stale (an
+        edge changed color since extraction), or if an end of a path with
+        edges holds both colors: the chain is then a strict segment of a
+        longer path, and exchanging it alone would be improper.  An
+        edgeless chain gives a plain copy.
         """
         alpha, beta = chain.colors
         for (u, v), c in zip(chain.edges, chain.edge_colors):
@@ -336,57 +340,30 @@ class PartialEdgeColoring:
                     f"stale chain: edge ({u}, {v}) no longer carries color {c}"
                 )
         out = self.copy()
-        out._exchange(chain.edges, alpha, beta)
+        if chain.edges:
+            both = 1 << alpha | 1 << beta
+            for v in chain.endpoints:
+                if self._present[v] & both == both:
+                    raise ValueError(
+                        f"improper swap: the ({alpha}, {beta})-chain goes on past its end {v}"
+                    )
+            out._flip(chain.vertices[0], alpha, beta)
         return out
-
-    def _exchange(
-        self, edges: Iterable[tuple[int, int]], alpha: int, beta: int
-    ) -> None:
-        """Exchange ``alpha`` and ``beta`` in place on an explicit list of
-        edges, checking the result.
-
-        :meth:`swap` applies it to a fresh copy, so no coloring handed to
-        a caller changes.  The list may be a segment from
-        :meth:`swap_subchain`, whose exchange can be improper: that raises
-        ValueError and leaves this coloring half flipped.  A whole
-        component needs no check, and :meth:`_flip` exchanges one given
-        any of its vertices.
-        """
-        index = self._graph._edge_index
-        colors, present, slot = self._colors, self._present, self._slot
-        flipped = []
-        for u, v in edges:
-            i = index[(u, v) if u < v else (v, u)]
-            c = colors[i]
-            present[u] ^= 1 << c
-            present[v] ^= 1 << c
-            slot[u][c] = slot[v][c] = -1
-            flipped.append((u, v, i, beta if c == alpha else alpha))
-        for u, v, i, c in flipped:
-            bit = 1 << c
-            if (present[u] | present[v]) & bit:
-                raise ValueError(
-                    f"color {c} already present at an endpoint of ({u}, {v})"
-                )
-            colors[i] = c
-            present[u] |= bit
-            present[v] |= bit
-            slot[u][c] = v
-            slot[v][c] = u
 
     def _flip(self, x: int, alpha: int, beta: int) -> None:
         """Exchange ``alpha`` and ``beta`` in place on the whole
         (alpha, beta)-component through ``x``; nothing changes when
         neither color is present at ``x``.
 
-        The sampler's Kempe step.  It walks the slot table once from
-        ``x``, first along ``alpha``, then along ``beta`` unless the first
-        walk came back to ``x`` round a cycle.  It recolors each edge it
-        crosses, swaps the two colors' slot entries at each vertex it
-        reaches and toggles both present bits at each path end.  A whole
-        component stays proper, so nothing is checked, and flipping it
-        twice restores the coloring.  The result equals :meth:`swap` of
-        :meth:`kempe_chain` at ``x``, built with no list and no copy.
+        Every Kempe exchange is this one: the sampler's Kempe step, and
+        :meth:`swap` and :meth:`swap_subchain` on a copy.  It walks the
+        slot table once from ``x``, first along ``alpha``, then along
+        ``beta`` unless the first walk came back to ``x`` round a cycle.
+        It recolors each edge it crosses, swaps the two colors' slot
+        entries at each vertex it reaches and toggles both present bits at
+        each path end, with no chain list built.  A whole component stays
+        proper, so nothing is checked, and flipping it twice restores the
+        coloring.
         """
         index = self._graph._edge_index
         colors, present, slot = self._colors, self._present, self._slot
@@ -440,9 +417,11 @@ class PartialEdgeColoring:
     ) -> "PartialEdgeColoring":
         """Exchange colors on the chain segment between ``x`` and ``y``.
 
-        Unlike a whole-chain swap this can break properness at the segment
-        boundary; the result is validated and a ValueError raised if the
-        exchange is improper.  Requires ``x`` and ``y`` on one path chain.
+        Requires ``x`` and ``y`` on one path chain.  Only two segments
+        exchange properly: the single vertex ``x == y``, which changes
+        nothing, and the whole path, with ``x`` and ``y`` its two ends.
+        Any other segment ends inside the path, and exchanging it alone
+        would repeat a color there, so it raises ValueError.
         """
         chain = self.kempe_chain(x, alpha, beta)
         if y not in chain:

@@ -597,9 +597,9 @@ def check_degree_dichotomy(
 
 # Each shape's edges as (p, q, via): the color of edge pq must be missed
 # at one of the ``via`` roles, and the uncolored edge ab has no ``via``.
-# The fork's two rules beyond its rows (branches in increasing order, and
-# the cross condition) live in :data:`_FORK_ASCENDING` and
-# :func:`_fork_crosses` below.
+# The fork's last two rows close its tip edges again: its cross rule, each
+# tip missing the other branch's tip-edge color.  Its one rule beyond the
+# rows, branches in increasing order, is :data:`_FORK_ASCENDING` below.
 _SHAPES = {
     "fork": (
         ("a", "b", ()),
@@ -608,6 +608,8 @@ _SHAPES = {
         ("u", "s2", ("a", "b")),
         ("s1", "t1", ("a", "b")),
         ("s2", "t2", ("a", "b")),
+        ("s1", "t1", ("t2",)),
+        ("s2", "t2", ("t1",)),
     ),
     "short-kite": (
         ("a", "b", ()),
@@ -649,16 +651,6 @@ _SHAPE_ROWS = {
 _FORK_ASCENDING = (_ROLE_NAMES["fork"].index("s1"), _ROLE_NAMES["fork"].index("s2"))
 
 
-def _fork_crosses(c: PartialEdgeColoring, fork: tuple[int, ...]) -> bool:
-    """The fork's cross condition: each tip misses the other branch's
-    tip-edge color."""
-    s1, s2, t1, t2 = fork[3:]
-    return bool(
-        c.missing_mask(t2) >> c.color(s1, t1) & 1
-        and c.missing_mask(t1) >> c.color(s2, t2) & 1
-    )
-
-
 @dataclass(frozen=True)
 class ForkLike:
     """A named embedding of one of the three branched configurations."""
@@ -679,24 +671,24 @@ class ForkLike:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         m = self.role_map
-        return tuple(_normalize_edge(m[p], m[q]) for p, q, _ in _SHAPES[self.kind])
+        edges = (_normalize_edge(m[p], m[q]) for p, q, _ in _SHAPES[self.kind])
+        return tuple(dict.fromkeys(edges))
 
 
 def find_forklike(c: PartialEdgeColoring, kind: str) -> list[ForkLike]:
     """Exhaustively list embeddings of the requested configuration.
 
-    Forks carry their full color constraints; short-kites and kites carry
-    the alternating-path conditions their validators assume.  Both
+    Every kind is found from its rows: forks with their full color
+    constraints, the cross rule included, and short-kites and kites with
+    the alternating-path conditions their validators assume.  The one
+    rule beyond the rows puts fork branches in increasing order.  Both
     orientations of the uncolored edge are tried, and the result order is
     fixed by the growth order of the role tuples.
     """
     if kind not in _SHAPES:
         raise ValueError(f"unknown kind {kind!r}")
-    if kind == "fork":
-        found = _embeddings(c, _SHAPE_ROWS[kind], _FORK_ASCENDING)
-        found = [f for f in found if _fork_crosses(c, f)]
-    else:
-        found = _embeddings(c, _SHAPE_ROWS[kind])
+    ascending = _FORK_ASCENDING if kind == "fork" else (-1, -1)
+    found = _embeddings(c, _SHAPE_ROWS[kind], ascending)
     names = _ROLE_NAMES[kind]
     return [_found(ForkLike(kind, tuple(zip(names, f))), c) for f in found]
 

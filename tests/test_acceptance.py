@@ -178,7 +178,11 @@ def test_atlas_report_bytes_pinned(atlas_report):
 def test_criterion_implication_sweep(atlas_report):
     report, _ = atlas_report
     imp = report.summary["implication"]
-    ok = imp["counterexample"] == 0 and imp["holds"] >= 1
+    ok = (
+        imp["counterexample"] == 0
+        and imp["holds"] >= 1
+        and sum(imp.values()) == report.summary["graphs"]
+    )
     _report(
         "criterion 5: no counterexample to the overfull implication, with "
         "non-vacuous instances",

@@ -111,6 +111,37 @@ def test_classification_timeout_keeps_overfull(monkeypatch):
     assert all(t["checked"] == 0 for t in rec["lemmas"].values())
 
 
+@pytest.mark.parametrize("oracle_call", ["chromatic_index", "is_delta_critical"])
+def test_classification_timeout_still_decides_theorem1(monkeypatch, oracle_call):
+    # "Dhc" (C5) misses the degree condition with margin -1, so the
+    # implication is inapplicable with no oracle; "Bw" (K3) meets it with
+    # margin 1/2, so expiry leaves the implication undecided.
+    def expire(g, **kwargs):
+        raise chroma.oracle.OracleTimeout("forced")
+
+    monkeypatch.setattr(chroma.oracle, oracle_call, expire)
+    report = run_census("Dhc\nBw\n", _SMALL)
+    k3, dhc = report.records
+    assert (k3["graph6"], dhc["graph6"]) == ("Bw", "Dhc")
+    assert dhc["theorem1"] == {
+        "status": "inapplicable",
+        "detail": "degree condition fails with margin -1",
+    }
+    assert k3["theorem1"] == {
+        "status": "undecided",
+        "detail": "criticality undecided: forced",
+    }
+    for rec in report.records:
+        assert rec["error"] == "oracle budget exceeded: forced"
+        assert list(rec)[-5:] == ["overfull", "theorem1", "lemmas", "error", "timings"]
+    summary = report.summary
+    assert summary["errors"] == summary["graphs"] == 2
+    assert summary["implication"] == {
+        "holds": 0, "counterexample": 0, "inapplicable": 1, "undecided": 1
+    }
+    assert sum(summary["implication"].values()) == summary["graphs"]
+
+
 def test_examine_class_one_graph_runs_no_suites():
     rec = examine_graph("C~", _SMALL).record
     assert (rec["chi_prime"], rec["class"]) == (3, "class1")

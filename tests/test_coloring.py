@@ -185,23 +185,66 @@ def _state(c: PartialEdgeColoring):
     return c.edge_colors, c.hole, c._present, c._slot, c.colored_count
 
 
+def _reference_swap(c: PartialEdgeColoring, chain) -> PartialEdgeColoring:
+    """The chain's two colors exchanged in an edge-to-color dict, then
+    rebuilt by ``from_assignment``."""
+    alpha, beta = chain.colors
+    colors = dict(c.edge_items())
+    for e in chain.edges:
+        colors[e] = beta if colors[e] == alpha else alpha
+    return PartialEdgeColoring.from_assignment(c.graph, c.k, colors, hole=c.hole)
+
+
 def test_flip_equals_swap_of_the_whole_chain():
     # _flip exchanges the component in place with no chain built; at an
-    # anchor with neither color it changes nothing, as swapping the
-    # one-vertex chain does.
+    # anchor with neither color it changes nothing, as exchanging the
+    # one-vertex chain's no edges does.
     shapes = {"path": 0, "cycle": 0, "trivial": 0}
     for c in _fixture_colorings():
         for x in range(c.graph.n):
             for alpha, beta in itertools.permutations(range(1, c.k + 1), 2):
                 chain = c.kempe_chain(x, alpha, beta)
+                want = _state(_reference_swap(c, chain))
                 flipped = c.copy()
                 flipped._flip(x, alpha, beta)
                 assert flipped.check_proper() == []
-                assert _state(flipped) == _state(c.swap(chain))
+                assert _state(flipped) == want
+                assert _state(c.swap(chain)) == want
                 flipped._flip(x, alpha, beta)
                 assert _state(flipped) == _state(c)
                 shapes["trivial" if not chain.edges else chain.shape] += 1
     assert all(shapes.values()), shapes
+
+
+def test_subchain_swap_succeeds_only_on_a_vertex_or_the_whole_path():
+    # A segment that ends inside its path leaves a color twice at that
+    # end once exchanged, so only x == y and the path's two ends succeed.
+    calls = {True: 0, False: 0}
+    for c in _fixture_colorings():
+        for x in range(c.graph.n):
+            for alpha, beta in itertools.permutations(range(1, c.k + 1), 2):
+                chain = c.kempe_chain(x, alpha, beta)
+                if chain.shape != "path":
+                    continue
+                for y in chain.vertices:
+                    whole = x == y or {x, y} == set(chain.endpoints)
+                    calls[whole] += 1
+                    if not whole:
+                        with pytest.raises(ValueError, match="improper"):
+                            c.swap_subchain(x, y, alpha, beta)
+                        continue
+                    got = c.swap_subchain(x, y, alpha, beta)
+                    assert _state(got) == _state(c if x == y else c.swap(chain))
+    assert all(calls.values()), calls
+
+
+def test_swap_refuses_a_strict_segment():
+    c = _p4()
+    chain = c.kempe_chain(0, 1, 2)
+    for x, y in ((0, 1), (1, 2), (1, 3), (0, 2)):
+        with pytest.raises(ValueError, match="improper swap"):
+            c.swap(chain.segment(x, y))
+    assert _state(c.swap(chain.segment(0, 3))) == _state(_reference_swap(c, chain))
 
 
 def test_swap_is_involution_and_leaves_original():

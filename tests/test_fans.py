@@ -351,6 +351,23 @@ def test_fork_exclusion_violation_under_high_degree():
     assert "under the exclusion bound" in verdict.detail
 
 
+@pytest.mark.parametrize(
+    "pendant, color, row",
+    [
+        ((6, 7), 4, "s1t1 color missed at t2 fails"),
+        ((5, 7), 5, "s2t2 color missed at t1 fails"),
+    ],
+)
+def test_fork_checker_names_an_unmet_cross_row(pendant, color, row):
+    # A pendant edge at one tip takes the other branch's tip-edge color
+    # (4 on s1t1, 5 on s2t2), so the tips no longer cross: the skeleton
+    # meets every growth row, but not the cross rows that close it.
+    c = _host(_FORK_CORE_EDGES + [pendant], {**_FORK_CORE_ASSIGN, pendant: color}, k=5)
+    roles = {"a": 0, "b": 1, "u": 2, "s1": 3, "s2": 4, "t1": 5, "t2": 6}
+    assert _forklike_failure(c, ForkLike("fork", tuple(roles.items())), "fork") == row
+    assert find_forklike(c, "fork") == []
+
+
 _SHORTKITE_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)]
 _SHORTKITE_ASSIGN = {(0, 2): 1, (1, 3): 2, (2, 3): 3, (3, 4): 4, (3, 5): 5}
 
@@ -608,8 +625,9 @@ def test_finders_agree_with_shape_table():
 
 def _reference_forklike(c: PartialEdgeColoring, kind: str) -> set[ForkLike]:
     """Color-blind enumeration: grow every new role across every graph
-    edge to an unused vertex, then keep what the shape checks and the
-    fork's cross rule accept."""
+    edge to an unused vertex, then keep what the shape checks accept.
+    Forks must also have ascending branches and pass a cross check
+    written out here, apart from the table's cross rows."""
     a, b = c.hole
     found = set()
     partial = [{"a": a, "b": b}, {"a": b, "b": a}]

@@ -245,23 +245,26 @@ def test_every_moved_coloring_is_proper(monkeypatch):
     assert made
 
 
-def _reference_kempe_step(c: PartialEdgeColoring, rng: random.Random) -> bool:
-    """The walk's Kempe step through the chain machinery: an anchor, a
-    color alpha present there, any other color beta, and the whole
-    component listed by ``_component`` and exchanged edge by edge.
-    False when the anchor has no color present, after drawing only it."""
+def _reference_kempe_step(
+    c: PartialEdgeColoring, rng: random.Random
+) -> PartialEdgeColoring | None:
+    """The walk's Kempe step rebuilt from an edge-to-color dict: an
+    anchor, a color alpha present there, any other color beta, and the
+    two colors exchanged on the edges of ``kempe_chain`` at the anchor
+    before ``from_assignment`` builds the new coloring.  None when the
+    anchor has no color present, after drawing only it."""
     v = rng.randrange(c.graph.n)
     present = _bits(c.present_mask(v))
     if not present or c.k < 2:
-        return False
+        return None
     alpha = rng.choice(present)
     beta = rng.randrange(1, c.k)
     if beta >= alpha:
         beta += 1
-    verts, is_cycle = c._component(v, alpha, beta)
-    ends = verts[1:] + verts[:1] if is_cycle else verts[1:]
-    c._exchange(zip(verts, ends), alpha, beta)
-    return True
+    colors = dict(c.edge_items())
+    for e in c.kempe_chain(v, alpha, beta).edges:
+        colors[e] = beta if colors[e] == alpha else alpha
+    return PartialEdgeColoring.from_assignment(c.graph, c.k, colors, hole=c.hole)
 
 
 def _reference_walk(g: Graph, count: int, seed: int):
@@ -276,7 +279,11 @@ def _reference_walk(g: Graph, count: int, seed: int):
     while any(len(kept) < count for kept in samples):
         step += 1
         if rng.random() < 0.5:
-            bare += not _reference_kempe_step(walk, rng)
+            stepped = _reference_kempe_step(walk, rng)
+            if stepped is None:
+                bare += 1
+            else:
+                walk = stepped
         else:
             x, y = walk.hole
             if rng.random() < 0.5:
