@@ -12,6 +12,12 @@ bitmask of colors on edges at ``v``, ``missing_mask(v)`` its complement
 within ``1 .. k``, and a slot table maps (vertex, color) to the neighbor
 across the edge of that color.  All public mutating operations return a
 new coloring; the input value is never changed.
+
+Recoloring is by Kempe exchange, named as the paper's recoloring steps
+name it: by a vertex and two colors.  ``kempe_chain(x, alpha, beta)``
+returns the whole (alpha, beta)-chain through ``x``, ``swap(x, alpha,
+beta)`` exchanges the two colors on all of it, and ``linked(x, y, alpha,
+beta)`` tells whether ``y`` lies on it.
 """
 
 from __future__ import annotations
@@ -34,55 +40,14 @@ class KempeChain:
 
     ``vertices`` lists the component in order; for a path the order runs
     from the lower-indexed endpoint, for a cycle it starts at the smallest
-    vertex and proceeds toward its smaller chain neighbor.  ``edge_colors``
-    snapshots the colors at extraction time so a later swap can detect a
-    stale chain.
+    vertex and proceeds toward its smaller chain neighbor.  ``edges``
+    joins consecutive vertices, and for a cycle the last to the first.
     """
 
     colors: tuple[int, int]
     shape: str  # "path" or "cycle"
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    edge_colors: tuple[int, ...]
-
-    @property
-    def endpoints(self) -> tuple[int, ...]:
-        if self.shape != "path":
-            return ()
-        if len(self.vertices) == 1:
-            return (self.vertices[0],)
-        return (self.vertices[0], self.vertices[-1])
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
-
-    def oriented_from(self, v: int) -> tuple[int, ...]:
-        """The vertex order starting at endpoint ``v`` (paths only)."""
-        if self.shape != "path":
-            raise ValueError("orientation only applies to path chains")
-        if v == self.vertices[0]:
-            return self.vertices
-        if v == self.vertices[-1]:
-            return tuple(reversed(self.vertices))
-        raise ValueError(f"{v} is not an endpoint of this chain")
-
-    def segment(self, x: int, y: int) -> "KempeChain":
-        """The subchain between ``x`` and ``y`` inclusive (paths only)."""
-        if self.shape != "path":
-            raise ValueError("segment of a cycle chain is ambiguous")
-        try:
-            i, j = self.vertices.index(x), self.vertices.index(y)
-        except ValueError:
-            raise ValueError(f"{x} and {y} must both lie on the chain") from None
-        if i > j:
-            i, j = j, i
-        return KempeChain(
-            colors=self.colors,
-            shape="path",
-            vertices=self.vertices[i:j + 1],
-            edges=self.edges[i:j],
-            edge_colors=self.edge_colors[i:j],
-        )
 
 
 class PartialEdgeColoring:
@@ -272,12 +237,11 @@ class PartialEdgeColoring:
     # -- Kempe machinery -------------------------------------------------
 
     def kempe_chain(self, x: int, alpha: int, beta: int) -> KempeChain:
-        """The maximal (alpha, beta)-component through ``x``.
-
-        Whole components are returned even when ``x`` is interior; callers
-        pick segments or orientations explicitly.
+        """The maximal (alpha, beta)-component through ``x``: the chain
+        that :meth:`swap` exchanges and :meth:`linked` walks.  Every vertex
+        of the component gives the same chain.
         """
-        self._check_chain_colors(alpha, beta)
+        self._check_chain(x, alpha, beta)
         verts, is_cycle = self._component(x, alpha, beta)
         if is_cycle:
             pivot = verts.index(min(verts))
@@ -290,10 +254,13 @@ class PartialEdgeColoring:
                 verts.reverse()
             shape, pairs = "path", zip(verts, verts[1:])
         edges = tuple(_normalize_edge(u, v) for u, v in pairs)
-        edge_colors = tuple(self._colors[self._graph.edge_index(u, v)] for u, v in edges)
-        return KempeChain((alpha, beta), shape, tuple(verts), edges, edge_colors)
+        return KempeChain((alpha, beta), shape, tuple(verts), edges)
 
-    def _check_chain_colors(self, alpha: int, beta: int) -> None:
+    def _check_chain(self, x: int, alpha: int, beta: int) -> None:
+        """ValueError unless ``x`` is a vertex and ``alpha`` and ``beta``
+        are two different colors of the palette."""
+        if not 0 <= x < self._graph._n:
+            raise ValueError(f"vertex {x} outside 0..{self._graph.n - 1}")
         if alpha == beta:
             raise ValueError("chain colors must differ")
         for c in (alpha, beta):
@@ -322,32 +289,19 @@ class PartialEdgeColoring:
                 return seq
             first, second = second, first
 
-    def swap(self, chain: KempeChain) -> "PartialEdgeColoring":
-        """Exchange the two colors along a whole chain.
+    def swap(self, x: int, alpha: int, beta: int) -> "PartialEdgeColoring":
+        """A copy with ``alpha`` and ``beta`` exchanged on the whole
+        (alpha, beta)-chain through ``x``.
 
-        The exchange is :meth:`_flip` at the chain's first vertex, on a
-        copy, so it keeps the coloring proper, and doing it twice restores
-        the original value.  Raises ValueError if the chain is stale (an
-        edge changed color since extraction), or if an end of a path with
-        edges holds both colors: the chain is then a strict segment of a
-        longer path, and exchanging it alone would be improper.  An
-        edgeless chain gives a plain copy.
+        The exchange is :meth:`_flip` on a copy, so it keeps the coloring
+        proper, every vertex of the chain names the same exchange, and
+        doing it twice restores the original value.  At a vertex with
+        neither color the copy is unchanged.  Takes the arguments of
+        :meth:`kempe_chain`, with its errors.
         """
-        alpha, beta = chain.colors
-        for (u, v), c in zip(chain.edges, chain.edge_colors):
-            if self._colors[self._graph.edge_index(u, v)] != c:
-                raise ValueError(
-                    f"stale chain: edge ({u}, {v}) no longer carries color {c}"
-                )
+        self._check_chain(x, alpha, beta)
         out = self.copy()
-        if chain.edges:
-            both = 1 << alpha | 1 << beta
-            for v in chain.endpoints:
-                if self._present[v] & both == both:
-                    raise ValueError(
-                        f"improper swap: the ({alpha}, {beta})-chain goes on past its end {v}"
-                    )
-            out._flip(chain.vertices[0], alpha, beta)
+        out._flip(x, alpha, beta)
         return out
 
     def _flip(self, x: int, alpha: int, beta: int) -> None:
@@ -356,7 +310,7 @@ class PartialEdgeColoring:
         neither color is present at ``x``.
 
         Every Kempe exchange is this one: the sampler's Kempe step, and
-        :meth:`swap` and :meth:`swap_subchain` on a copy.  It walks the
+        :meth:`swap`, which checks the arguments, on a copy.  It walks the
         slot table once from ``x``, first along ``alpha``, then along
         ``beta`` unless the first walk came back to ``x`` round a cycle.
         It recolors each edge it crosses, swaps the two colors' slot
@@ -412,37 +366,17 @@ class PartialEdgeColoring:
         self._hole = (x, w) if x < w else (w, x)
         self._hole_at = f
 
-    def swap_subchain(
-        self, x: int, y: int, alpha: int, beta: int
-    ) -> "PartialEdgeColoring":
-        """Exchange colors on the chain segment between ``x`` and ``y``.
-
-        Requires ``x`` and ``y`` on one path chain.  Only two segments
-        exchange properly: the single vertex ``x == y``, which changes
-        nothing, and the whole path, with ``x`` and ``y`` its two ends.
-        Any other segment ends inside the path, and exchanging it alone
-        would repeat a color there, so it raises ValueError.
-        """
-        chain = self.kempe_chain(x, alpha, beta)
-        if y not in chain:
-            raise ValueError(
-                f"{x} and {y} are not ({alpha}, {beta})-linked; no segment to swap"
-            )
-        seg = chain.segment(x, y)
-        try:
-            return self.swap(seg)
-        except ValueError as exc:
-            raise ValueError(f"subchain swap between {x} and {y} is improper: {exc}") from None
-
     def linked(self, x: int, y: int, alpha: int, beta: int) -> bool:
         """True when ``x`` and ``y`` lie on the same (alpha, beta)-chain.
 
-        A vertex is linked to itself whatever the colors; for two vertices
-        the colors must be valid chain colors, as for :meth:`kempe_chain`.
+        Both must be vertices.  A vertex is linked to itself whatever the
+        colors; for two vertices the colors must be valid chain colors, as
+        for :meth:`kempe_chain`.
         """
-        if x == y:
+        if x == y and 0 <= x < self._graph._n:
             return True
-        self._check_chain_colors(alpha, beta)
+        self._check_chain(x, alpha, beta)
+        self._check_chain(y, alpha, beta)
         return y in self._walk(x, alpha, beta) or y in self._walk(x, beta, alpha)
 
     # -- vertex-set structure --------------------------------------------

@@ -556,9 +556,11 @@ def check_degree_dichotomy(
     most one missing color with {a, b} under each coloring of the graph
     minus an edge ab to a max-degree neighbor b.  Those colorings are
     ``colorings[(min(a, b), max(a, b))]``; an edge missing from the dict
-    contributes none.
+    contributes none.  StructuralError for an anchor that is not a vertex.
     """
     n = g.n
+    if not 0 <= a < n:
+        raise StructuralError(f"anchor {a} not a vertex of the graph")
     delta = g.max_degree
     da = g.degree(a)
     if 3 * da > 2 * delta - n + 2:

@@ -111,11 +111,9 @@ class _Interpreter:
 
     def _swap_at(self, v: int, x: int, y: int, label: str) -> None:
         self._spend_swap()
-        chain = self.c.kempe_chain(v, x, y)
-        self.c = self.c.swap(chain)
-        self.transcript.append(
-            f"{label}: ({x},{y})-swap at {v}, {len(chain.vertices)} vertices"
-        )
+        size = len(self.c.kempe_chain(v, x, y).vertices)
+        self.c = self.c.swap(v, x, y)
+        self.transcript.append(f"{label}: ({x},{y})-swap at {v}, {size} vertices")
 
     def _guard(self, condition: bool, claim: str) -> None:
         if not condition:
@@ -238,10 +236,9 @@ class _Interpreter:
     def _us_on_b_side(self, tau: int) -> bool:
         u, s, t = self.u, self.s, self.t
         if tau != self.beta:
-            chain = self.c.kempe_chain(t, self.beta, tau)
-            if _normalize_edge(u, s) not in chain.edges:
+            if _normalize_edge(u, s) not in self.c.kempe_chain(t, self.beta, tau).edges:
                 self._spend_swap()
-                self.c = self.c.swap(chain)
+                self.c = self.c.swap(t, self.beta, tau)
                 self._note(f"us-route: ({self.beta},{tau})-swap at {t}")
                 self._guard(
                     self._misses(self.t, tau)

@@ -219,24 +219,22 @@ def test_criterion_randomized_chain_mechanics():
         alpha, beta = rng.sample(range(1, c.k + 1), 2)
         kind = rng.random()
         if kind < 0.5:
-            chain = c.kempe_chain(v, alpha, beta)
-            flipped = c.swap(chain)
+            flipped = c.swap(v, alpha, beta)
             assert flipped.check_proper() == []
             assert flipped.hole == c.hole
-            back = flipped.swap(flipped.kempe_chain(v, alpha, beta))
+            back = flipped.swap(v, alpha, beta)
             assert dict(back.edge_items()) == dict(c.edge_items())
             pool[i] = flipped
             ops += 2
         elif kind < 0.75:
-            w = rng.randrange(g.n)
-            try:
-                out = c.swap_subchain(v, w, alpha, beta)
-            except ValueError:
-                assert c.check_proper() == []
-            else:
-                assert out.check_proper() == []
-                assert out.hole == c.hole
-                pool[i] = out
+            # Any vertex of the chain through v names the same exchange.
+            w = rng.choice(c.kempe_chain(v, alpha, beta).vertices)
+            out = c.swap(w, alpha, beta)
+            assert out.check_proper() == []
+            assert out.hole == c.hole
+            back = out.swap(v, alpha, beta)
+            assert dict(back.edge_items()) == dict(c.edge_items())
+            pool[i] = out
             ops += 1
         else:
             w = rng.randrange(g.n)

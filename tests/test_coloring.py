@@ -71,12 +71,7 @@ def test_kempe_chain_path():
         assert chain.shape == "path"
         assert chain.vertices == (0, 1, 2, 3)
         assert chain.edges == ((0, 1), (1, 2), (2, 3))
-        assert chain.edge_colors == (1, 2, 1)
-        assert chain.endpoints == (0, 3)
-        assert anchor in chain
-    assert chain.oriented_from(3) == (3, 2, 1, 0)
-    with pytest.raises(ValueError, match="not an endpoint"):
-        chain.oriented_from(1)
+        assert chain.colors == (1, 2)
 
 
 def test_kempe_chain_trivial_and_bad_colors():
@@ -84,7 +79,7 @@ def test_kempe_chain_trivial_and_bad_colors():
     chain = c.kempe_chain(0, 2, 3)
     assert chain.vertices == (0,)
     assert chain.edges == ()
-    c2 = c.swap(chain)
+    c2 = c.swap(0, 2, 3)
     assert dict(c2.edge_items()) == dict(c.edge_items())
     with pytest.raises(ValueError, match="must differ"):
         c.kempe_chain(0, 1, 1)
@@ -102,14 +97,10 @@ def test_kempe_chain_cycle():
     assert chain.vertices[0] == 0
     assert len(chain.edges) == 4
     assert set(chain.edges) == set(g.edges)
-    swapped = c.swap(chain)
+    swapped = c.swap(2, 1, 2)
     assert swapped.color(0, 1) == 2
     assert swapped.check_proper() == []
-    assert dict(swapped.swap(swapped.kempe_chain(2, 1, 2)).edge_items()) == dict(
-        c.edge_items()
-    )
-    with pytest.raises(ValueError, match="cycle chain is ambiguous"):
-        chain.segment(0, 2)
+    assert dict(swapped.swap(2, 1, 2).edge_items()) == dict(c.edge_items())
 
 
 def _reference_component(
@@ -148,7 +139,7 @@ def _fixture_colorings():
             for _ in range(4):
                 x = rng.randrange(k5.n)
                 alpha, beta = rng.sample(range(1, c.k + 1), 2)
-                c = c.swap(c.kempe_chain(x, alpha, beta))
+                c = c.swap(x, alpha, beta)
             walks.append(c)
         assert len({tuple(w.edge_items()) for w in walks}) == 3
         yield from walks
@@ -170,9 +161,9 @@ def test_kempe_chain_matches_reference_component():
                 pairs = zip(vs, vs[1:] + vs[:1] if cyclic else vs[1:])
                 assert chain.edges == tuple((min(u, v), max(u, v)) for u, v in pairs)
                 assert len(chain.edges) == edge_count
-                assert chain.edge_colors == tuple(c.color(*e) for e in chain.edges)
-                assert set(chain.edge_colors) <= {alpha, beta}
-                assert all(p != q for p, q in zip(chain.edge_colors, chain.edge_colors[1:]))
+                colors = [c.color(*e) for e in chain.edges]
+                assert set(colors) <= {alpha, beta}
+                assert all(p != q for p, q in zip(colors, colors[1:]))
                 if cyclic:
                     assert vs[0] == min(component) and vs[1] < vs[-1]
                 else:
@@ -209,85 +200,54 @@ def test_flip_equals_swap_of_the_whole_chain():
                 flipped._flip(x, alpha, beta)
                 assert flipped.check_proper() == []
                 assert _state(flipped) == want
-                assert _state(c.swap(chain)) == want
+                assert _state(c.swap(x, alpha, beta)) == want
                 flipped._flip(x, alpha, beta)
                 assert _state(flipped) == _state(c)
                 shapes["trivial" if not chain.edges else chain.shape] += 1
     assert all(shapes.values()), shapes
 
 
-def test_subchain_swap_succeeds_only_on_a_vertex_or_the_whole_path():
-    # A segment that ends inside its path leaves a color twice at that
-    # end once exchanged, so only x == y and the path's two ends succeed.
-    calls = {True: 0, False: 0}
+def test_swap_at_any_vertex_of_a_chain_is_one_exchange():
+    # swap(x, alpha, beta) exchanges the whole chain through x, so every
+    # vertex of that chain names the same exchange, and it undoes itself.
+    swaps = 0
     for c in _fixture_colorings():
         for x in range(c.graph.n):
             for alpha, beta in itertools.permutations(range(1, c.k + 1), 2):
                 chain = c.kempe_chain(x, alpha, beta)
-                if chain.shape != "path":
-                    continue
-                for y in chain.vertices:
-                    whole = x == y or {x, y} == set(chain.endpoints)
-                    calls[whole] += 1
-                    if not whole:
-                        with pytest.raises(ValueError, match="improper"):
-                            c.swap_subchain(x, y, alpha, beta)
-                        continue
-                    got = c.swap_subchain(x, y, alpha, beta)
-                    assert _state(got) == _state(c if x == y else c.swap(chain))
-    assert all(calls.values()), calls
+                want = _state(_reference_swap(c, chain))
+                for w in chain.vertices:
+                    swapped = c.swap(w, alpha, beta)
+                    assert _state(swapped) == want
+                    assert _state(swapped.swap(w, alpha, beta)) == _state(c)
+                    swaps += 1
+    assert swaps
 
 
-def test_swap_refuses_a_strict_segment():
+def test_chain_calls_reject_a_vertex_outside_the_graph():
+    # -1 would index the last slot row, and 4 and 7 run past the table.
     c = _p4()
-    chain = c.kempe_chain(0, 1, 2)
-    for x, y in ((0, 1), (1, 2), (1, 3), (0, 2)):
-        with pytest.raises(ValueError, match="improper swap"):
-            c.swap(chain.segment(x, y))
-    assert _state(c.swap(chain.segment(0, 3))) == _state(_reference_swap(c, chain))
+    for x in (-1, 4, 7):
+        calls = (
+            lambda: c.kempe_chain(x, 1, 2),
+            lambda: c.swap(x, 1, 2),
+            lambda: c.linked(x, 2, 1, 2),
+            lambda: c.linked(2, x, 1, 2),
+            lambda: c.linked(x, x, 1, 1),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^vertex {x} outside 0..3$"):
+                call()
 
 
 def test_swap_is_involution_and_leaves_original():
     c = _p4()
-    chain = c.kempe_chain(0, 1, 2)
-    c2 = c.swap(chain)
+    c2 = c.swap(0, 1, 2)
     assert c.color(0, 1) == 1
     assert dict(c2.edge_items()) == {(0, 1): 2, (1, 2): 1, (2, 3): 2}
     assert c2.check_proper() == []
-    back = c2.swap(c2.kempe_chain(0, 1, 2))
+    back = c2.swap(0, 1, 2)
     assert dict(back.edge_items()) == dict(c.edge_items())
-
-
-def test_swap_rejects_stale_chain():
-    c = _p4()
-    chain = c.kempe_chain(0, 1, 2)
-    c2 = c.swap(chain)
-    with pytest.raises(ValueError, match="stale chain"):
-        c2.swap(chain)
-
-
-def test_subchain_swap_boundaries():
-    c = _p4()
-    whole = c.swap_subchain(0, 3, 1, 2)
-    assert dict(whole.edge_items()) == {(0, 1): 2, (1, 2): 1, (2, 3): 2}
-    trivial = c.swap_subchain(2, 2, 1, 2)
-    assert dict(trivial.edge_items()) == dict(c.edge_items())
-    with pytest.raises(ValueError, match="improper"):
-        c.swap_subchain(0, 1, 1, 2)
-    with pytest.raises(ValueError, match="improper"):
-        c.swap_subchain(1, 3, 1, 2)
-    assert c.color(0, 1) == 1
-    cycle = PartialEdgeColoring.from_assignment(
-        families.cycle(4), 2, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}
-    )
-    with pytest.raises(ValueError, match="^segment of a cycle chain is ambiguous$"):
-        cycle.swap_subchain(0, 2, 1, 2)
-
-
-def test_subchain_swap_requires_linkage():
-    c = PartialEdgeColoring.from_assignment(_P4, 2, {(0, 1): 1, (2, 3): 1})
-    with pytest.raises(ValueError, match="linked"):
-        c.swap_subchain(0, 3, 1, 2)
 
 
 def test_linked():
@@ -475,8 +435,8 @@ def test_move_hole_twice_is_the_identity():
 def test_colored_count_follows_every_mutation():
     c = _p4()
     results = [c, c.copy()]
-    results.append(c.swap(c.kempe_chain(0, 1, 2)))
-    results.append(c.swap_subchain(0, 3, 1, 2))
+    results.append(c.swap(0, 1, 2))
+    results.append(c.swap(3, 1, 2))
     shell = PartialEdgeColoring.from_assignment(_P4, 3, {(0, 1): 1}, hole=(2, 3))
     assert (shell.colored_count, shell.is_complete) == (1, False)
     results.append(shell)
@@ -486,7 +446,7 @@ def test_colored_count_follows_every_mutation():
         x = g.edges[0][0]
         a = sample.missing(x)[0]
         b = 1 if a != 1 else 2
-        results.append(sample.swap(sample.kempe_chain(x, a, b)))
+        results.append(sample.swap(x, a, b))
     for c in results:
         assert c.colored_count == _rescanned_count(c)
         assert c.check_proper() == []
@@ -503,10 +463,9 @@ def test_randomized_swap_mechanics_small():
     for _ in range(200):
         v = rng.randrange(g.n)
         a, b = rng.sample([1, 2, 3], 2)
-        chain = current.kempe_chain(v, a, b)
-        nxt = current.swap(chain)
+        nxt = current.swap(v, a, b)
         assert nxt.check_proper() == []
-        again = nxt.swap(nxt.kempe_chain(v, a, b))
+        again = nxt.swap(v, a, b)
         assert dict(again.edge_items()) == dict(current.edge_items())
         current = nxt
     assert current.hole == (0, 1)

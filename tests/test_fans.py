@@ -319,6 +319,16 @@ def test_check_degree_dichotomy_shared_color_violation():
     assert "shares two missing colors" in verdict.detail
 
 
+def test_check_degree_dichotomy_rejects_an_anchor_outside_the_graph():
+    # Subdivided K8 has n = 9; anchor -1 would read vertex 8's degree and
+    # then not skip vertex 8, and anchor 9 runs past the degree table.
+    g = families.subdivided_complete(8)
+    assert check_degree_dichotomy(g, 8, colorings={}).status == OK
+    for a in (-1, 9):
+        with pytest.raises(StructuralError, match=f"^anchor {a} not a vertex"):
+            check_degree_dichotomy(g, a, colorings={})
+
+
 # -- forks, short-kites, kites ----------------------------------------------
 
 _FORK_CORE_EDGES = [(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 6)]
@@ -809,8 +819,8 @@ def _swapped_copies(c: PartialEdgeColoring) -> list[PartialEdgeColoring]:
             for beta in range(alpha + 1, c.k + 1):
                 chain = c.kempe_chain(v, alpha, beta)
                 if chain.edges:
-                    chains.setdefault((chain.colors, chain.edges), chain)
-    return [c.swap(chain) for chain in chains.values()]
+                    chains.setdefault((chain.colors, chain.edges), (v, alpha, beta))
+    return [c.swap(*anchor) for anchor in chains.values()]
 
 
 def test_found_shapes_equal_their_hand_built_twins():

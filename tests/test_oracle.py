@@ -535,7 +535,7 @@ def test_walk_reaches_a_single_coloring_kempe_class():
     def alone(c: PartialEdgeColoring) -> bool:
         key = _renamed(_colors(c))
         return all(
-            _renamed(_colors(c.swap(c.kempe_chain(v, alpha, beta)))) == key
+            _renamed(_colors(c.swap(v, alpha, beta))) == key
             for v in range(g.n)
             for alpha, beta in combinations(range(1, c.k + 1), 2)
         )
