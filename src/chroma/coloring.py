@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, _bits, _normalize_edge
+from .graph import Graph, _bits, _normalize_edge, _outside
 
 __all__ = [
     "PartialEdgeColoring",
@@ -51,7 +51,11 @@ class KempeChain:
 
 
 class PartialEdgeColoring:
-    """A proper partial edge coloring with exact present/missing tracking."""
+    """A proper partial edge coloring with exact present/missing tracking.
+
+    The per-vertex queries and the Kempe-chain methods raise ValueError
+    for a vertex outside the graph.
+    """
 
     __slots__ = (
         "_graph", "_k", "_full", "_hole", "_hole_at", "_colors", "_count", "_present",
@@ -95,9 +99,13 @@ class PartialEdgeColoring:
         return self._colors[self._graph.edge_index(u, v)]
 
     def present_mask(self, v: int) -> int:
+        if not 0 <= v < self._graph._n:
+            raise _outside(v, self._graph._n)
         return self._present[v]
 
     def missing_mask(self, v: int) -> int:
+        if not 0 <= v < self._graph._n:
+            raise _outside(v, self._graph._n)
         return self._full & ~self._present[v]
 
     def missing(self, v: int) -> tuple[int, ...]:
@@ -105,12 +113,16 @@ class PartialEdgeColoring:
 
     def partner(self, v: int, color: int) -> int | None:
         """The neighbor across the color-``color`` edge at ``v``, if any."""
+        if not 0 <= v < self._graph._n:
+            raise _outside(v, self._graph._n)
         w = self._slot[v][color]
         return None if w < 0 else w
 
     def partners(self, v: int, mask: int) -> list[int]:
         """The neighbors across the colors in ``mask`` at ``v``, in
         increasing color order; colors missing at ``v`` are skipped."""
+        if not 0 <= v < self._graph._n:
+            raise _outside(v, self._graph._n)
         slot = self._slot[v]
         mask &= self._present[v]
         out = []
@@ -169,18 +181,20 @@ class PartialEdgeColoring:
         hole: tuple[int, int] | None = None,
     ) -> "PartialEdgeColoring":
         """Build a coloring from an explicit edge-to-color mapping, where 0
-        leaves an edge uncolored.  ValueError for a color outside the
-        palette, an edge given in both orientations or a color repeated at
-        a vertex."""
+        leaves an edge uncolored.  ValueError for a pair that is not an
+        edge, a color outside the palette, an edge given in both
+        orientations or a color repeated at a vertex."""
         c = cls(graph, k, hole)
         index = graph._edge_index
         colors, present, slot = c._colors, c._present, c._slot
         for (u, v), color in assignment.items():
+            i = index.get((u, v) if u < v else (v, u))
+            if i is None:
+                raise ValueError(f"({u}, {v}) is not an edge of the graph")
             if not color:
                 continue
             if not 1 <= color <= k:
                 raise ValueError(f"color {color} outside palette 1..{k}")
-            i = index[(u, v) if u < v else (v, u)]
             if colors[i]:
                 raise ValueError(f"edge ({u}, {v}) already colored {colors[i]}")
             bit = 1 << color
@@ -260,7 +274,7 @@ class PartialEdgeColoring:
         """ValueError unless ``x`` is a vertex and ``alpha`` and ``beta``
         are two different colors of the palette."""
         if not 0 <= x < self._graph._n:
-            raise ValueError(f"vertex {x} outside 0..{self._graph.n - 1}")
+            raise _outside(x, self._graph._n)
         if alpha == beta:
             raise ValueError("chain colors must differ")
         for c in (alpha, beta):
@@ -348,6 +362,11 @@ class PartialEdgeColoring:
         which e takes, as in Vizing's fan recoloring.  ``color`` must be
         missing at y and present at x, as it is on a class-2 host at its
         max degree; else ValueError.  Repeating the move undoes it.
+
+        It is the one recoloring step besides Kempe exchange, with three
+        users: certification moves the hole to certify the next edge, the
+        sampler's walk mixes it with Kempe swaps, and the five-vertex
+        rewrite shifts its path with it to derive a contradiction.
         """
         u, v = self._hole
         y = v if x == u else u

@@ -43,8 +43,17 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _outside(v: int, n: int) -> ValueError:
+    """The error for a vertex ``v`` that is not in ``0 .. n-1``."""
+    return ValueError(f"vertex {v} outside 0..{n - 1}")
+
+
 class Graph:
-    """An immutable simple graph on vertices ``0 .. n-1``."""
+    """An immutable simple graph on vertices ``0 .. n-1``.
+
+    ``degree``, ``neighbors`` and ``adjacency_mask`` raise ValueError for
+    a vertex outside the graph.
+    """
 
     __slots__ = (
         "_n", "_edges", "_adj_mask", "_neighbors", "_edge_index", "_degrees",
@@ -88,6 +97,8 @@ class Graph:
         return self._edges
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self._n:
+            raise _outside(v, self._n)
         return self._degrees[v]
 
     @property
@@ -103,9 +114,13 @@ class Graph:
         return min(self._degrees, default=0)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if not 0 <= v < self._n:
+            raise _outside(v, self._n)
         return self._neighbors[v]
 
     def adjacency_mask(self, v: int) -> int:
+        if not 0 <= v < self._n:
+            raise _outside(v, self._n)
         return self._adj_mask[v]
 
     def has_edge(self, u: int, v: int) -> bool:

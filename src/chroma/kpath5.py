@@ -26,7 +26,7 @@ from .fans import (
     _check_path,
     validate_kierstead4,
 )
-from .graph import _normalize_edge
+from .graph import _bits
 
 __all__ = [
     "CANONICAL",
@@ -143,10 +143,6 @@ class _Interpreter:
             self.c.missing_mask(self.a) | self.c.missing_mask(self.b)
         )
 
-    @staticmethod
-    def _low_color(mask: int) -> int:
-        return (mask & -mask).bit_length() - 1
-
     def _note(self, text: str) -> None:
         self.transcript.append(text)
 
@@ -180,7 +176,7 @@ class _Interpreter:
             v = self.role[side]
             lam_mask = self.c.missing_mask(v)
             self._guard(lam_mask != 0, f"a color is missing at {side}")
-            self._swap_at(v, self._low_color(gamma), self._low_color(lam_mask), "split")
+            self._swap_at(v, _bits(gamma)[0], _bits(lam_mask)[0], "split")
             gamma = self._gamma_mask()
             on_a = gamma & self.c.missing_mask(self.a)
             on_b = gamma & self.c.missing_mask(self.b)
@@ -191,14 +187,14 @@ class _Interpreter:
         # On a host where a and b share missing colors the low picks can
         # coincide; two distinct picks always exist because the shared
         # set has at least three colors, each on one side or the other.
-        self.alpha = self._low_color(on_a)
+        self.alpha = _bits(on_a)[0]
         if on_b & ~(1 << self.alpha):
-            self.beta = self._low_color(on_b & ~(1 << self.alpha))
+            self.beta = _bits(on_b & ~(1 << self.alpha))[0]
         else:
             self.beta = self.alpha
             rest = on_a & ~(1 << self.beta)
             self._guard(rest != 0, "distinct shared colors for the two sides")
-            self.alpha = self._low_color(rest)
+            self.alpha = _bits(rest)[0]
         self._note(f"picked alpha={self.alpha}, beta={self.beta}")
 
     # -- phase B: make bu carry alpha --------------------------------------
@@ -236,7 +232,7 @@ class _Interpreter:
     def _us_on_b_side(self, tau: int) -> bool:
         u, s, t = self.u, self.s, self.t
         if tau != self.beta:
-            if _normalize_edge(u, s) not in self.c.kempe_chain(t, self.beta, tau).edges:
+            if not self.c.linked(t, u, self.beta, tau):
                 self._spend_swap()
                 self.c = self.c.swap(t, self.beta, tau)
                 self._note(f"us-route: ({self.beta},{tau})-swap at {t}")
@@ -267,21 +263,14 @@ class _Interpreter:
         """The argument here derives a contradiction: color ab, open bu,
         and the shifted four-vertex path breaks near-elementarity.
         Reproduce that derivation so the dead-end report is checkable.
-        Coloring ab with alpha needs the invariant, which the hard us-route
-        need not restore on a host whose hole is not critical."""
+        The shift is the hole move from ab along alpha at b.  It needs the
+        invariant (bu carries alpha, alpha missing at a), which the hard
+        us-route need not restore on a host whose hole is not critical."""
         self._check_invariant()
-        a, b, u, s, t = self.a, self.b, self.u, self.s, self.t
-        bu = _normalize_edge(b, u)
-        assignment = {}
-        for e, color in self.c.edge_items():
-            if color and e != bu:
-                assignment[e] = color
-        assignment[_normalize_edge(a, b)] = self.alpha
-        shifted = PartialEdgeColoring.from_assignment(
-            self.c.graph, self.c.k, assignment, hole=bu
-        )
+        shifted = self.c.copy()
+        shifted._move_hole(self.b, self.alpha)
         try:
-            verdict = validate_kierstead4(shifted, KiersteadPath((b, u, s, t)))
+            verdict = validate_kierstead4(shifted, KiersteadPath(self.k.vertices[1:]))
             outcome = f"its near-elementarity check returns {verdict.status}"
             if verdict.detail:
                 outcome += f" ({verdict.detail})"
@@ -350,7 +339,7 @@ class _Interpreter:
             return self._settled("st-on-a")
         third = self._gamma_mask() & ~(1 << self.alpha) & ~(1 << self.beta)
         self._guard(third != 0, "a third shared color exists for this case")
-        tau = self._low_color(third)
+        tau = _bits(third)[0]
         self._note(f"third shared color tau={tau}")
         if self._misses(u, tau):
             self._need_linked("a", "u", tau, delta)

@@ -55,6 +55,35 @@ def test_construction_rejects_improper_input():
         PartialEdgeColoring(_P4, 2, hole=(0, 2))
 
 
+@pytest.mark.parametrize("color", (0, 1))
+@pytest.mark.parametrize("pair", ((0, 2), (5, 6), (-1, 0)))
+def test_from_assignment_rejects_a_pair_that_is_not_an_edge(pair, color):
+    with pytest.raises(ValueError, match=rf"^\({pair[0]}, {pair[1]}\) is not an edge"):
+        PartialEdgeColoring.from_assignment(_P4, 2, {pair: color})
+
+
+_VERTEX_CALLS = {
+    "missing": lambda c, v: c.missing(v),
+    "missing_mask": lambda c, v: c.missing_mask(v),
+    "present_mask": lambda c, v: c.present_mask(v),
+    "partner": lambda c, v: c.partner(v, 1),
+    "partners": lambda c, v: c.partners(v, 0b110),
+    "elementary_conflict": lambda c, v: c.elementary_conflict([3, v]),
+    "is_elementary": lambda c, v: c.is_elementary([3, v]),
+    "degree": lambda c, v: c.graph.degree(v),
+    "neighbors": lambda c, v: c.graph.neighbors(v),
+    "adjacency_mask": lambda c, v: c.graph.adjacency_mask(v),
+}
+
+
+@pytest.mark.parametrize("v", (-1, 4))
+@pytest.mark.parametrize("call", _VERTEX_CALLS.values(), ids=_VERTEX_CALLS)
+def test_vertex_accessors_reject_a_vertex_outside_the_graph(call, v):
+    # -1 would read the last vertex's row, and 4 runs past the table.
+    with pytest.raises(ValueError, match=f"^vertex {v} outside 0..3$"):
+        call(_p4(), v)
+
+
 def test_empty_partial_needs_enough_colors():
     with pytest.raises(ValueError, match="below max degree"):
         empty_partial(families.complete(4), (0, 1), 2)
@@ -238,6 +267,25 @@ def test_chain_calls_reject_a_vertex_outside_the_graph():
         for call in calls:
             with pytest.raises(ValueError, match=f"^vertex {x} outside 0..3$"):
                 call()
+
+
+def test_linked_tells_whether_a_colored_edge_is_on_the_chain():
+    # The tau-edge us lies on the (beta, tau)-chain through t exactly
+    # when u does, and exactly when s does.
+    on_chain = 0
+    for c in _fixture_colorings():
+        for (u, s), tau in c.edge_items():
+            if not tau:
+                continue
+            for t in range(c.graph.n):
+                for beta in range(1, c.k + 1):
+                    if beta == tau:
+                        continue
+                    on = (u, s) in c.kempe_chain(t, beta, tau).edges
+                    assert c.linked(t, u, beta, tau) == on
+                    assert c.linked(t, s, beta, tau) == on
+                    on_chain += on
+    assert on_chain
 
 
 def test_swap_is_involution_and_leaves_original():

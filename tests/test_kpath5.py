@@ -26,7 +26,9 @@ from chroma import (
     kierstead_paths,
     parse_graph6,
     sample_colorings,
+    validate_kierstead4,
 )
+from chroma import kpath5
 
 _PATH = KiersteadPath((0, 1, 2, 3, 4))
 
@@ -180,12 +182,14 @@ def test_third_color_on_a_long_chain():
 _HOST_C = [(0, 1), (0, 5), (1, 2), (1, 5), (2, 3), (2, 6), (2, 7), (3, 4)]
 
 
+_SHIFTED = {
+    (0, 5): 1, (1, 2): 4, (1, 5): 3, (2, 3): 2, (2, 6): 3,
+    (2, 7): 1, (3, 4): 1,
+}
+
+
 def test_shifted_path_dead_end_reported_inside_degree_violation():
-    assign = {
-        (0, 5): 1, (1, 2): 4, (1, 5): 3, (2, 3): 2, (2, 6): 3,
-        (2, 7): 1, (3, 4): 1,
-    }
-    res = canonicalize_k5_path(_fixture(4, assign, _HOST_C), _PATH)
+    res = canonicalize_k5_path(_fixture(4, _SHIFTED, _HOST_C), _PATH)
     assert res.status == VIOLATION
     assert "interior degrees d(b)=3, d(u)=4 must both equal 4" in res.detail
     assert "rewrite outcome: dead-end" in res.detail
@@ -193,6 +197,32 @@ def test_shifted_path_dead_end_reported_inside_degree_violation():
     assert "near-elementarity check returns violation" in res.detail
     assert res.coloring is None
     assert "alpha renamed to 4" in res.transcript
+
+
+def test_shifted_path_colors_ab_and_opens_bu(monkeypatch):
+    # Both bu-normalize swaps at t meet a one-vertex chain, so the shift
+    # starts from the input with alpha = 4: rebuild its result by hand.
+    seen = []
+
+    def capture(c, path):
+        seen.append((c, path))
+        return validate_kierstead4(c, path)
+
+    monkeypatch.setattr(kpath5, "validate_kierstead4", capture)
+    res = canonicalize_k5_path(_fixture(4, _SHIFTED, _HOST_C), _PATH)
+    assert "shifts the path to (b,u,s,t)" in res.detail
+    [(shifted, path)] = seen
+    assign = {e: color for e, color in _SHIFTED.items() if e != (1, 2)}
+    assign[(0, 1)] = 4
+    g = Graph(8, _HOST_C)
+    rebuilt = PartialEdgeColoring.from_assignment(g, 4, assign, hole=(1, 2))
+    assert path.vertices == (1, 2, 3, 4)
+    assert shifted.hole == rebuilt.hole == (1, 2)
+    assert dict(shifted.edge_items()) == dict(rebuilt.edge_items())
+    assert [shifted.missing_mask(v) for v in range(g.n)] == [
+        rebuilt.missing_mask(v) for v in range(g.n)
+    ]
+    assert shifted.check_proper() == []
 
 
 def test_degree_violation_with_successful_rewrite_attached():
