@@ -341,6 +341,32 @@ def test_csv_output():
     assert first[1] == "3"
 
 
+_CSV_PIN = """\
+graph6,n,max_degree,min_degree,edge_count,chi_prime,class,is_critical,is_overfull,excess,hypothesis,hypothesis_margin,theorem1,violations,dead_ends
+?,0,0,0,0,0,class1,False,,,,,inapplicable,0,0
+@,1,0,0,0,0,class1,False,False,0,True,7/2,inapplicable,0,0
+Bw,3,2,2,3,3,class2,True,True,1,True,1/2,holds,0,0
+Cs,4,3,1,3,,,,False,-3,True,5/2,undecided,0,0
+C~,4,3,3,6,3,class1,False,False,0,False,-1,inapplicable,0,0
+Dhc,5,2,2,5,3,class2,True,True,1,False,-1,inapplicable,0,0
+"""
+
+
+def test_csv_bytes_pinned(monkeypatch):
+    # The star K1,3 ("Cs") has its classification expire: its chi, class
+    # and critical cells stay empty while its overfull cells are filled.
+    real = chroma.oracle.chromatic_index
+
+    def expire_on_star(g, **kwargs):
+        if chroma.graph.to_graph6(g) == "Cs":
+            raise chroma.oracle.OracleTimeout("forced")
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(chroma.oracle, "chromatic_index", expire_on_star)
+    report = run_census("Bw\nC~\nDhc\n@\n?\nCs\n", _SMALL)
+    assert report.to_csv() == _CSV_PIN
+
+
 def test_witness_files_on_violation(tmp_path, monkeypatch):
     monkeypatch.setenv("CHROMA_THREADS", "1")
 
