@@ -58,22 +58,25 @@ SUITES = (
     "parity",
 )
 
+# The CSV table: each column with its cell for one record.  A field that an
+# expired classification leaves out, or the empty graph's null overfull
+# field, gives an empty cell.
 _CSV_COLUMNS = (
-    "graph6",
-    "n",
-    "max_degree",
-    "min_degree",
-    "edge_count",
-    "chi_prime",
-    "class",
-    "is_critical",
-    "is_overfull",
-    "excess",
-    "hypothesis",
-    "hypothesis_margin",
-    "theorem1",
-    "violations",
-    "dead_ends",
+    ("graph6", lambda r: r["graph6"]),
+    ("n", lambda r: r["n"]),
+    ("max_degree", lambda r: r["max_degree"]),
+    ("min_degree", lambda r: r["min_degree"]),
+    ("edge_count", lambda r: r["edge_count"]),
+    ("chi_prime", lambda r: r.get("chi_prime", "")),
+    ("class", lambda r: r.get("class", "")),
+    ("is_critical", lambda r: r.get("is_critical", "")),
+    ("is_overfull", lambda r: (r["overfull"] or {}).get("is_overfull", "")),
+    ("excess", lambda r: (r["overfull"] or {}).get("excess", "")),
+    ("hypothesis", lambda r: (r["overfull"] or {}).get("hypothesis", "")),
+    ("hypothesis_margin", lambda r: (r["overfull"] or {}).get("hypothesis_margin", "")),
+    ("theorem1", lambda r: r["theorem1"]["status"]),
+    ("violations", lambda r: sum(t["violations"] for t in r["lemmas"].values())),
+    ("dead_ends", lambda r: sum(t.get("dead_ends", 0) for t in r["lemmas"].values())),
 )
 
 
@@ -147,28 +150,9 @@ class CensusReport:
         """Flat per-graph table with one row per record."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(column for column, _ in _CSV_COLUMNS)
         for r in self.records:
-            ov = r.get("overfull") or {}
-            writer.writerow(
-                [
-                    r["graph6"],
-                    r["n"],
-                    r["max_degree"],
-                    r["min_degree"],
-                    r["edge_count"],
-                    r.get("chi_prime", ""),
-                    r.get("class", ""),
-                    r.get("is_critical", ""),
-                    ov.get("is_overfull", ""),
-                    ov.get("excess", ""),
-                    ov.get("hypothesis", ""),
-                    ov.get("hypothesis_margin", ""),
-                    (r.get("theorem1") or {}).get("status", ""),
-                    sum(t["violations"] for t in r["lemmas"].values()),
-                    sum(t.get("dead_ends", 0) for t in r["lemmas"].values()),
-                ]
-            )
+            writer.writerow(cell(r) for _, cell in _CSV_COLUMNS)
         return buf.getvalue()
 
 
@@ -328,12 +312,17 @@ def _critical_suites(
 def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExamination:
     """Classify one graph6 line and run every applicable validator.
 
-    Oracle budget expiry does not abort the run; the record keeps the
-    fields computed so far, the oracle-free ``overfull`` verdict, and an
-    ``error`` note.  When the classification expires, ``theorem1`` is
-    still set: ``inapplicable`` if the degree condition fails, which needs
-    no oracle, and ``undecided`` if it holds.  Edgeless graphs get the
-    conventional chromatic index 0 and skip every coloring-based check.
+    The record is filled in key order, in three phases.  The oracle
+    phase writes ``chi_prime``, ``class`` and ``is_critical`` unless a call
+    expires, then checks the parity of the witness.  ``overfull`` needs no
+    oracle.  ``theorem1`` is the verdict of
+    ``overfull.verify_overfull_implication``, except for the empty graph
+    and for an expired classification of a graph that meets the degree
+    condition, which stays ``undecided``.  The suite phase runs the
+    validators on a critical graph.  An expiry in either oracle phase
+    leaves an ``error`` note and does not abort the run.  Edgeless graphs
+    get the conventional chromatic index 0 and skip every coloring-based
+    check.
     """
     g = parse_graph6(line)
     g6 = to_graph6(g)
@@ -347,73 +336,50 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
         "edge_count": g.m,
     }
     witnesses: list[dict] = []
-    error = None
-    classify_ms = 0.0
-    chi = None
+    expired = chi = None
     critical = False
-    ov_field = None
-    if g.n:
-        ov = overfull.is_overfull(g)
-        ov_field = {
-            "is_overfull": ov.is_overfull,
-            "excess": ov.excess,
-            "hypothesis": ov.hypothesis,
-            "hypothesis_margin": str(ov.hypothesis_margin),
-        }
-    try:
-        if g.m:
-            t0 = perf_counter()
-            try:
-                chi = oracle.chromatic_index(g, timeout_ms=config.timeout_ms)
-                critical = oracle.is_delta_critical(
-                    g, chi=chi, timeout_ms=config.timeout_ms
-                )
-            finally:
-                classify_ms = (perf_counter() - t0) * 1000
-            record["chi_prime"] = chi.chi_prime
-            record["class"] = chi.classification
-            record["is_critical"] = critical
-            verdict = overfull.parity_check(chi.witness)
-            if _tally(tallies, "parity", verdict.status):
-                witnesses.append(
-                    _witness(g6, None, chi.witness, "parity", verdict.detail)
-                )
-        else:
-            record["chi_prime"] = 0
-            record["class"] = "class1"
-            record["is_critical"] = False
-        record["overfull"] = ov_field
-        if g.n:
-            implication = overfull.verify_overfull_implication(
-                g, chi=chi, critical=critical, timeout_ms=config.timeout_ms
-            )
-            record["theorem1"] = {
-                "status": implication.status,
-                "detail": implication.detail,
-            }
-            if implication.status == overfull.COUNTEREXAMPLE:
-                witnesses.append(
-                    _witness(g6, None, None, "theorem1", implication.detail)
-                )
-        else:
-            record["theorem1"] = {"status": INAPPLICABLE, "detail": "empty graph"}
-        if critical:
+    classify_ms = 0.0
+    if g.m:
+        t0 = perf_counter()
+        try:
+            chi = oracle.chromatic_index(g, timeout_ms=config.timeout_ms)
+            critical = oracle.is_delta_critical(g, chi=chi, timeout_ms=config.timeout_ms)
+        except oracle.OracleTimeout as exc:
+            chi, expired = None, exc
+        classify_ms = (perf_counter() - t0) * 1000
+    if expired is None:
+        record["chi_prime"] = chi.chi_prime if chi else 0
+        record["class"] = chi.classification if chi else "class1"
+        record["is_critical"] = critical
+    if chi is not None:
+        verdict = overfull.parity_check(chi.witness)
+        if _tally(tallies, "parity", verdict.status):
+            witnesses.append(_witness(g6, None, chi.witness, "parity", verdict.detail))
+    ov = overfull.is_overfull(g) if g.n else None
+    record["overfull"] = None if ov is None else {
+        "is_overfull": ov.is_overfull,
+        "excess": ov.excess,
+        "hypothesis": ov.hypothesis,
+        "hypothesis_margin": str(ov.hypothesis_margin),
+    }
+    if ov is None:
+        status, detail = INAPPLICABLE, "empty graph"
+    elif expired is not None and ov.hypothesis:
+        status, detail = overfull.UNDECIDED, f"criticality undecided: {expired}"
+    else:
+        implication = overfull.verify_overfull_implication(g, chi=chi, critical=critical)
+        status, detail = implication.status, implication.detail
+        if status == overfull.COUNTEREXAMPLE:
+            witnesses.append(_witness(g6, None, None, "theorem1", detail))
+    record["theorem1"] = {"status": status, "detail": detail}
+    if critical:
+        try:
             _critical_suites(g, g6, config, tallies, witnesses)
-    except oracle.OracleTimeout as exc:
-        record.setdefault("overfull", ov_field)
-        error = f"oracle budget exceeded: {exc}"
-        if "theorem1" not in record:
-            # The classification expired.  The hypothesis needs no oracle;
-            # where it holds, criticality is what stays undecided.
-            if ov_field["hypothesis"]:
-                status, detail = overfull.UNDECIDED, f"criticality undecided: {exc}"
-            else:
-                margin = ov_field["hypothesis_margin"]
-                status, detail = INAPPLICABLE, f"degree condition fails with margin {margin}"
-            record["theorem1"] = {"status": status, "detail": detail}
+        except oracle.OracleTimeout as exc:
+            expired = exc
     record["lemmas"] = tallies
-    if error is not None:
-        record["error"] = error
+    if expired is not None:
+        record["error"] = f"oracle budget exceeded: {expired}"
     record["timings"] = {
         "classify_ms": round(classify_ms, 3),
         "total_ms": round((perf_counter() - t_start) * 1000, 3),
