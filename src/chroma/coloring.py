@@ -115,6 +115,8 @@ class PartialEdgeColoring:
         """The neighbor across the color-``color`` edge at ``v``, if any."""
         if not 0 <= v < self._graph._n:
             raise _outside(v, self._graph._n)
+        if not 1 <= color <= self._k:
+            raise ValueError(f"color {color} outside palette 1..{self._k}")
         w = self._slot[v][color]
         return None if w < 0 else w
 

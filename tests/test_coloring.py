@@ -84,6 +84,14 @@ def test_vertex_accessors_reject_a_vertex_outside_the_graph(call, v):
         call(_p4(), v)
 
 
+@pytest.mark.parametrize("color", (-1, 0, 3))
+def test_partner_rejects_a_color_outside_the_palette(color):
+    # -1 would read the last color's slot, 0 the unused one, and 3 runs
+    # past the row.
+    with pytest.raises(ValueError, match=f"^color {color} outside palette 1..2$"):
+        _p4().partner(1, color)
+
+
 def test_empty_partial_needs_enough_colors():
     with pytest.raises(ValueError, match="below max degree"):
         empty_partial(families.complete(4), (0, 1), 2)
