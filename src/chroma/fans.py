@@ -613,14 +613,6 @@ _SHAPES = {
         ("s1", "t1", ("t2",)),
         ("s2", "t2", ("t1",)),
     ),
-    "short-kite": (
-        ("a", "b", ()),
-        ("a", "c", ("b",)),
-        ("b", "u", ("a",)),
-        ("c", "u", ("a", "b")),
-        ("u", "x", ("a", "b")),
-        ("u", "y", ("a", "b", "c")),
-    ),
     "kite": (
         ("a", "b", ()),
         ("a", "c", ("b",)),
@@ -632,6 +624,11 @@ _SHAPES = {
         ("s2", "t2", ("a", "b", "c", "u")),
     ),
 }
+# A short-kite is the kite's first six rows with s1 and s2 named x and y,
+# so every kite extends a short-kite.
+_SHAPES["short-kite"] = tuple(
+    (p, {"s1": "x", "s2": "y"}.get(q, q), via) for p, q, via in _SHAPES["kite"][:6]
+)
 # Role names of each kind in the order its finder fills them.
 _ROLE_NAMES = {
     kind: tuple(dict.fromkeys(name for p, q, _ in edges for name in (p, q)))

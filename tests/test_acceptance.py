@@ -37,7 +37,7 @@ def _report(name: str, ok: bool, extra: str = "") -> None:
 
 
 def _atlas_corpus() -> str:
-    import networkx as nx
+    nx = pytest.importorskip("networkx")
 
     lines = []
     for G in nx.graph_atlas_g():

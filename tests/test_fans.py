@@ -717,6 +717,24 @@ def test_finders_miss_nothing():
     assert all(counts.values()), counts
 
 
+def test_every_kite_extends_a_short_kite():
+    # The short-kite's rows are the kite's first six, with s1 and s2
+    # named x and y, so the kites' six-role prefixes are found short-kites
+    # in the same order.
+    extended = 0
+    for c in _sampled_hosts():
+        short = find_forklike(c, "short-kite")
+        prefixes = list(
+            dict.fromkeys(
+                ForkLike("short-kite", tuple(zip("a b c u x y".split(), kt.role_map.values())))
+                for kt in find_forklike(c, "kite")
+            )
+        )
+        assert prefixes == [sk for sk in short if sk in prefixes]
+        extended += len(prefixes)
+    assert extended
+
+
 def _reference_grow(
     c: PartialEdgeColoring, vertices: list[int], at: int, accepts, limit: int
 ) -> list[int]:
