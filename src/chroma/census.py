@@ -348,8 +348,8 @@ def examine_graph(line: str, config: CensusConfig = CensusConfig()) -> GraphExam
             chi, expired = None, exc
         classify_ms = (perf_counter() - t0) * 1000
     if expired is None:
-        record["chi_prime"] = chi.chi_prime if chi else 0
-        record["class"] = chi.classification if chi else "class1"
+        record["chi_prime"] = 0 if chi is None else chi.chi_prime
+        record["class"] = "class1" if chi is None else chi.classification
         record["is_critical"] = critical
     if chi is not None:
         verdict = overfull.parity_check(chi.witness)
