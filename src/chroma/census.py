@@ -24,7 +24,6 @@ import hashlib
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -469,6 +468,9 @@ def run_census(
     distinct = list(dict.fromkeys(keys))
     workers = _worker_count(len(distinct))
     if workers > 1:
+        # Imported here, so a serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             examined = list(pool.map(partial(examine_graph, config=config), distinct))
     else:

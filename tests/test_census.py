@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -287,8 +292,26 @@ def test_worker_count_env_validation(monkeypatch):
             run_census("Bw\n", CensusConfig(samples=1))
     # Unset means a serial run: starting a pool would call None and fail.
     monkeypatch.delenv("CHROMA_THREADS")
-    monkeypatch.setattr(chroma.census, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     assert run_census("Bw\nC~\n", CensusConfig(samples=1)).summary["graphs"] == 2
+
+
+def test_serial_census_loads_no_process_pool():
+    # The pool is imported only when a run has more than one worker.
+    code = (
+        "import sys, chroma\n"
+        "chroma.run_census('Bw\\nC~\\n', chroma.CensusConfig(samples=1))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "    if m in ('concurrent.futures.process', 'multiprocessing')))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "CHROMA_THREADS"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_report_bytes_identical_across_runs():

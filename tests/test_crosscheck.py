@@ -13,16 +13,21 @@ i(S) leaves a few hundred terms that Python integers sum exactly.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 np = pytest.importorskip("numpy")
 nx = pytest.importorskip("networkx")
 
+import chroma  # noqa: E402
 from chroma import (  # noqa: E402
     Graph,
     chromatic_index,
     is_critical_edge,
     is_delta_critical,
+    parse_graph6,
 )
 
 
@@ -93,3 +98,29 @@ def test_oracle_agrees_with_inclusion_exclusion_on_atlas():
         assert is_delta_critical(g, chi=chi) == critical, g.edges
         criticals += critical
     assert (classes, edges_checked, criticals) == (995, 502, 26)
+
+
+def _benchmark_corpora():
+    """The benchmark's seeded corpus builders, ``perfbench/corpora.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpora.py"
+    spec = importlib.util.spec_from_file_location("corpora", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_certification_agrees_with_one_search_per_edge():
+    # Every sixth graph of the seed-0 oracle-decide corpus: 100 overfull
+    # subdivided regular hosts and 20 G(n, 1/2) graphs.  Certification
+    # moves the hole, opening blocked moves by Kempe flips; the plain
+    # loop searches every G - e on its own.
+    lines = _benchmark_corpora().oracle_corpus(chroma, 0)[::6]
+    assert len(lines) == 120
+    criticals = 0
+    for line in lines:
+        g = parse_graph6(line)
+        chi = chromatic_index(g)
+        every = all(is_critical_edge(g, e, chi=chi) for e in g.edges)
+        assert is_delta_critical(g, chi=chi) == every, line
+        criticals += every
+    assert criticals == 100

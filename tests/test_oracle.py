@@ -204,8 +204,9 @@ def test_a_hole_searches_the_graph_minus_that_edge():
 
 
 def test_moves_cut_the_certificate_searches(monkeypatch):
-    # One search per edge would make 29 and 46; the rest are certified by
-    # moving the hole of a coloring already found.
+    # One search per edge would make 29 and 46.  Plain hole moves alone
+    # left 7 and 22; with a Kempe flip to open each blocked move, the
+    # first search's coloring certifies every other edge.
     search = oracle._search
     searched = []
 
@@ -213,26 +214,32 @@ def test_moves_cut_the_certificate_searches(monkeypatch):
         searched.append(hole)
         return search(h, k, preset, timeout_ms, hole)
 
-    for m, searches in ((8, 7), (10, 22)):
+    for m in (8, 10):
         g = families.subdivided_complete(m)
         chi = chromatic_index(g)
         searched.clear()
         monkeypatch.setattr(oracle, "_search", counted)
         assert is_delta_critical(g, chi=chi)
         monkeypatch.undo()
-        assert len(searched) == len(set(searched) & set(g.edges)) == searches
+        assert searched == [g.edges[0]]
 
 
 def test_every_moved_coloring_is_proper(monkeypatch):
     nx = pytest.importorskip("networkx")
     moves = oracle._hole_moves
     made = []
+    flipped = 0
 
     def checked(c, certified):
+        nonlocal flipped
         for f, moved in moves(c, certified):
             assert moved.hole == f and f not in certified, (c.graph.edges, c.hole)
             assert moved.check_proper() == [] and moved.is_complete, (c.graph.edges, f)
             assert c.check_proper() == [] and c.hole != f
+            # A plain move recolors the hole and uncolors f; a Kempe
+            # flip before it recolors at least one more edge.
+            changed = sum(a != b for a, b in zip(c.edge_colors, moved.edge_colors))
+            flipped += changed > 2
             made.append(f)
             yield f, moved
 
@@ -242,7 +249,12 @@ def test_every_moved_coloring_is_proper(monkeypatch):
         if G.number_of_edges() and nx.is_connected(G):
             critical += is_delta_critical(Graph(G.number_of_nodes(), G.edges()))
     assert critical == 26
-    assert made
+    rng = random.Random(28)
+    hosts = [families.subdivided_complete(8), families.subdivided_complete(10)]
+    cells = [(10, 4), (12, 4), (8, 5), (10, 5), (8, 6)] * 2
+    hosts += [_subdivided_regular(rng, n, d) for n, d in cells]
+    assert all([is_delta_critical(g) for g in hosts])
+    assert made and flipped
 
 
 def _reference_kempe_step(
