@@ -27,6 +27,7 @@ from chroma import (  # noqa: E402
     chromatic_index,
     is_critical_edge,
     is_delta_critical,
+    oracle,
     parse_graph6,
 )
 
@@ -109,18 +110,31 @@ def _benchmark_corpora():
     return module
 
 
-def test_certification_agrees_with_one_search_per_edge():
+def test_certification_agrees_with_one_search_per_edge(monkeypatch):
     # Every sixth graph of the seed-0 oracle-decide corpus: 100 overfull
     # subdivided regular hosts and 20 G(n, 1/2) graphs.  Certification
     # moves the hole, opening blocked moves by Kempe flips; the plain
-    # loop searches every G - e on its own.
+    # loop searches every G - e on its own.  Certification's searches
+    # are counted and pinned: moves reach the same edges as they did
+    # when each move was made on a copy as soon as it was found.
     lines = _benchmark_corpora().oracle_corpus(chroma, 0)[::6]
     assert len(lines) == 120
+    search = oracle._search
+    searches = 0
+
+    def counted(*args):
+        nonlocal searches
+        searches += 1
+        return search(*args)
+
     criticals = 0
     for line in lines:
         g = parse_graph6(line)
         chi = chromatic_index(g)
         every = all(is_critical_edge(g, e, chi=chi) for e in g.edges)
+        monkeypatch.setattr(oracle, "_search", counted)
         assert is_delta_critical(g, chi=chi) == every, line
+        monkeypatch.undo()
         criticals += every
     assert criticals == 100
+    assert searches == 128
