@@ -293,7 +293,12 @@ class PartialEdgeColoring:
 
     def _walk(self, x: int, first: int, second: int) -> list[int]:
         """Vertices met from ``x`` along edges colored ``first``, ``second``,
-        ``first``, ...; ends where the next color is missing or back at ``x``."""
+        ``first``, ...; ends where the next color is missing or back at ``x``.
+
+        It only reads the slot table.  Besides :meth:`_component` and
+        :meth:`linked`, certification's hole moves use it to tell whether
+        a Kempe exchange would pass a vertex, and so which edge the move
+        reaches, without making the exchange."""
         seq = [x]
         cur = x
         while True:

@@ -17,12 +17,18 @@ reuses each coloring it finds: moving the hole from one edge to another,
 after one Kempe exchange where the move is blocked, as in Misra and
 Gries's constructive proof of Vizing's theorem, certifies the other edge
 with no search, so only edges that no move reaches are searched; on
-subdivided K8 and K10 that is the first edge alone.  A True still rests
-on a proper coloring of every g minus e and a False on an exhaustive
-search, so nothing is taken from the theory.  Each caller that hands
-out a coloring builds exactly one, on the graph it holds.  The sampler
-is one seeded walk per graph that mixes Kempe swaps with the same hole
-move; it runs no search after its start.  Both steps change the walk's
+subdivided K8 and K10 that is the first edge alone.  The edge a move
+reaches is read off one walk of the Kempe chain, with nothing
+recolored, and the moved coloring is built on a copy only when
+certification continues from it.  A True rests on a coloring of every
+g minus e, each one hole move, opened by at most one Kempe exchange,
+from a proper coloring that was built; the move's preconditions follow
+from the graph being class 2 and are checked whenever a move is built.
+A False rests on an exhaustive search, so nothing is taken from the
+theory.  Each caller that hands out a coloring builds exactly one, on
+the graph it holds.  The sampler is one seeded walk per graph that
+mixes Kempe swaps with the same hole move; it runs no search after its
+start.  Both steps change the walk's
 private coloring in place, a Kempe swap by one pass over the slot table
 of the component it flips, and only copies of it are handed out.
 Searches carry a wall-clock budget and report expiry as
@@ -266,21 +272,25 @@ def is_critical_edge(
 
 def _hole_moves(
     c: PartialEdgeColoring, certified: set[tuple[int, int]]
-) -> Iterator[tuple[tuple[int, int], PartialEdgeColoring]]:
-    """Pairs (f, moved): for the hole e = xy of ``c``, a max-degree
+) -> Iterator[tuple[tuple[int, int], tuple[int, int, int, int]]]:
+    """Pairs (f, move): for the hole e = xy of ``c``, a max-degree
     coloring of a class-2 graph, and each color d on an edge at x not in
-    ``certified``, a copy of ``c`` with the hole moved along d to an edge
-    f at x (:meth:`PartialEdgeColoring._move_hole`).
+    ``certified``, the edge f at x that the hole reaches by ``move =
+    (x, y, d, low)``, which :func:`_moved` makes on a copy.  ``c`` is only
+    read; nothing is copied or flipped here.
 
-    When d is missing at y the move is made at once, as in Vizing's fan
-    argument.  Otherwise one Kempe exchange opens it, as in Misra and
-    Gries's fan step: for the least color c missing at y, the
-    (c, d)-chain from y is flipped (:meth:`PartialEdgeColoring._flip`).
-    y ends that chain, since c is missing there, and x does not, since
-    on a class-2 host no color is missing at both ends of the hole; so
-    afterwards d is missing at y and still present at x, and the hole
-    moves to the d-edge now at x unless that edge is certified.  Both
-    orientations of e are tried, colors in increasing order, and
+    When d is missing at y, ``low`` is 0 and the hole moves along d at
+    once, as in Vizing's fan argument.  Otherwise one Kempe exchange
+    opens the move, as in Misra and Gries's fan step: ``low`` is the
+    least color missing at y, and the (low, d)-chain from y is flipped
+    first.  y ends that chain, since low is missing there, and x does
+    not, since on a class-2 host no color is missing at both ends of the
+    hole; so after the flip d is missing at y and still present at x.
+    The flip gives x the d-edge that was its low-edge when the chain
+    passes x, and leaves x's d-edge alone otherwise, so one read-only
+    walk of the chain (:meth:`PartialEdgeColoring._walk`) names f.  Both
+    orientations of e are tried, colors in increasing order; a move is
+    skipped when x's d-edge before the flip is certified, or f is, and
     ``certified`` is read at each step.
     """
     for x, y in (c.hole, c.hole[::-1]):
@@ -290,14 +300,28 @@ def _hole_moves(
             f = _normalize_edge(x, c.partner(x, d))
             if f in certified:
                 continue
-            moved = c.copy()
-            if not missing >> d & 1:
-                moved._flip(y, low, d)
-                f = _normalize_edge(x, moved.partner(x, d))
+            if missing >> d & 1:
+                yield f, (x, y, d, 0)
+                continue
+            if x in c._walk(y, d, low):
+                f = _normalize_edge(x, c.partner(x, low))
                 if f in certified:
                     continue
-            moved._move_hole(x, d)
-            yield f, moved
+            yield f, (x, y, d, low)
+
+
+def _moved(
+    c: PartialEdgeColoring, move: tuple[int, int, int, int]
+) -> PartialEdgeColoring:
+    """A copy of ``c`` with ``move`` from :func:`_hole_moves` made: the
+    (low, d)-chain from y flipped when ``low`` is not 0, then the hole
+    moved along d at x, which checks that the move is legal."""
+    x, y, d, low = move
+    moved = c.copy()
+    if low:
+        moved._flip(y, low, d)
+    moved._move_hole(x, d)
+    return moved
 
 
 def is_delta_critical(
@@ -310,12 +334,17 @@ def is_delta_critical(
 
     Each coloring found is reused: moves (:func:`_hole_moves`), each a
     hole move opened by at most one Kempe exchange, run depth-first from
-    it and certify other edges with no search.  Only an edge that no move
-    reaches gets the plain search of g minus that edge, in edge order;
-    the first search is always that of ``g.edges[0]``.  A move reaches
-    only edges whose g minus e has a coloring, so the first search with
-    none ends the loop at the same edge as one search per edge would.
-    True rests on a coloring of each g minus e, False on an exhaustive
+    it and certify other edges with no search.  A move certifies its
+    edge when it is found; the stack keeps the move and its parent
+    coloring, and the moved coloring is built (:func:`_moved`) only when
+    popped, so no coloring is built for an edge that is already
+    certified, and none at all once every edge is.  Only an edge that
+    no move reaches gets the plain search of g minus that edge, in edge
+    order; the first search is always that of ``g.edges[0]``.  A move
+    reaches only edges whose g minus e has a coloring, so the first
+    search with none ends the loop at the same edge as one search per
+    edge would.  True rests on a coloring of each g minus e, one hole
+    move from a proper coloring that was built, False on an exhaustive
     search.  On the benchmark's seed-0 corpus, 600 critical graphs take
     762 searches, against 3,612 with plain moves alone.
     """
@@ -334,11 +363,17 @@ def is_delta_critical(
         if found is None:
             return False
         certified.add(e)
-        stack = [PartialEdgeColoring.from_assignment(g, delta, found, hole=e)]
-        while stack:
-            for f, moved in _hole_moves(stack.pop(), certified):
+        c = PartialEdgeColoring.from_assignment(g, delta, found, hole=e)
+        stack: list[tuple[PartialEdgeColoring, tuple[int, int, int, int]]] = []
+        while True:
+            for f, move in _hole_moves(c, certified):
                 certified.add(f)
-                stack.append(moved)
+                if len(certified) == g.m:
+                    return True
+                stack.append((c, move))
+            if not stack:
+                break
+            c = _moved(*stack.pop())
     return True
 
 

@@ -24,6 +24,7 @@ nx = pytest.importorskip("networkx")
 import chroma  # noqa: E402
 from chroma import (  # noqa: E402
     Graph,
+    PartialEdgeColoring,
     chromatic_index,
     is_critical_edge,
     is_delta_critical,
@@ -114,27 +115,43 @@ def test_certification_agrees_with_one_search_per_edge(monkeypatch):
     # Every sixth graph of the seed-0 oracle-decide corpus: 100 overfull
     # subdivided regular hosts and 20 G(n, 1/2) graphs.  Certification
     # moves the hole, opening blocked moves by Kempe flips; the plain
-    # loop searches every G - e on its own.  Certification's searches
-    # are counted and pinned: moves reach the same edges as they did
-    # when each move was made on a copy as soon as it was found.
+    # loop searches every G - e on its own.  Certification's work is
+    # counted: its searches are pinned, since moves reach the same edges
+    # as they did when each move was made on a copy as soon as it was
+    # found; and a coloring is copied only for a move that certified an
+    # edge, with at most one Kempe flip each.
     lines = _benchmark_corpora().oracle_corpus(chroma, 0)[::6]
     assert len(lines) == 120
-    search = oracle._search
-    searches = 0
+    calls = {"_search": 0, "copy": 0, "_flip": 0, "moves": 0}
 
-    def counted(*args):
-        nonlocal searches
-        searches += 1
-        return search(*args)
+    def counted(owner, name):
+        call = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    moves = oracle._hole_moves
+
+    def counted_moves(c, certified):
+        for f, move in moves(c, certified):
+            calls["moves"] += 1
+            yield f, move
 
     criticals = 0
     for line in lines:
         g = parse_graph6(line)
         chi = chromatic_index(g)
         every = all(is_critical_edge(g, e, chi=chi) for e in g.edges)
-        monkeypatch.setattr(oracle, "_search", counted)
+        counted(oracle, "_search")
+        counted(PartialEdgeColoring, "copy")
+        counted(PartialEdgeColoring, "_flip")
+        monkeypatch.setattr(oracle, "_hole_moves", counted_moves)
         assert is_delta_critical(g, chi=chi) == every, line
         monkeypatch.undo()
         criticals += every
     assert criticals == 100
-    assert searches == 128
+    assert calls["_search"] == 128
+    assert calls["_flip"] <= calls["copy"] <= calls["moves"]

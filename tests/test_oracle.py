@@ -231,8 +231,13 @@ def test_every_moved_coloring_is_proper(monkeypatch):
     flipped = 0
 
     def checked(c, certified):
+        # Every move is built here, the ones that certification pops and
+        # builds itself and the ones its early return leaves unbuilt, so
+        # the edge each move names by walking the chain is checked
+        # against the hole of the coloring the move makes.
         nonlocal flipped
-        for f, moved in moves(c, certified):
+        for f, move in moves(c, certified):
+            moved = oracle._moved(c, move)
             assert moved.hole == f and f not in certified, (c.graph.edges, c.hole)
             assert moved.check_proper() == [] and moved.is_complete, (c.graph.edges, f)
             assert c.check_proper() == [] and c.hole != f
@@ -241,7 +246,7 @@ def test_every_moved_coloring_is_proper(monkeypatch):
             changed = sum(a != b for a, b in zip(c.edge_colors, moved.edge_colors))
             flipped += changed > 2
             made.append(f)
-            yield f, moved
+            yield f, move
 
     monkeypatch.setattr(oracle, "_hole_moves", checked)
     critical = 0
