@@ -21,18 +21,19 @@ subdivided K8 and K10 that is the first edge alone.  The edge a move
 reaches is read off one walk of the Kempe chain, with nothing
 recolored, and the moved coloring is built on a copy only when
 certification continues from it.  A True rests on a coloring of every
-g minus e, each one hole move, opened by at most one Kempe exchange,
-from a proper coloring that was built; the move's preconditions follow
-from the graph being class 2 and are checked whenever a move is built.
+g minus e that a search found or that is one hole move, opened by at
+most one Kempe exchange, from a proper coloring that was built; the
+move's preconditions follow from the graph being class 2 and are
+checked whenever a move is built.
 A False rests on an exhaustive search, so nothing is taken from the
 theory.  Each caller that hands out a coloring builds exactly one, on
 the graph it holds.  The sampler is one seeded walk per graph that
 mixes Kempe swaps with the same hole move; it runs no search after its
-start.  Both steps change the walk's
-private coloring in place, a Kempe swap by one pass over the slot table
-of the component it flips, and only copies of it are handed out.
-Searches carry a wall-clock budget and report expiry as
-:class:`OracleTimeout`, never as a class-1/class-2 answer.
+start.  Both steps change the walk's private coloring in place, a Kempe
+swap by one pass over the slot table of the component it flips, and
+only copies of it are handed out.  Searches carry a wall-clock budget
+and report expiry as :class:`OracleTimeout`, never as a class-1/class-2
+answer.
 """
 
 from __future__ import annotations
@@ -343,9 +344,9 @@ def is_delta_critical(
     order; the first search is always that of ``g.edges[0]``.  A move
     reaches only edges whose g minus e has a coloring, so the first
     search with none ends the loop at the same edge as one search per
-    edge would.  True rests on a coloring of each g minus e, one hole
-    move from a proper coloring that was built, False on an exhaustive
-    search.  On the benchmark's seed-0 corpus, 600 critical graphs take
+    edge would.  True rests on a coloring of each g minus e, found by a
+    search or one move from a proper coloring that was built, False on
+    an exhaustive search.  On the benchmark's seed-0 corpus, 600 critical graphs take
     762 searches, against 3,612 with plain moves alone.
     """
     if g.m == 0 or not g.is_connected():
