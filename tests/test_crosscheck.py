@@ -13,6 +13,7 @@ i(S) leaves a few hundred terms that Python integers sum exactly.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from chroma import (  # noqa: E402
     Graph,
     PartialEdgeColoring,
     chromatic_index,
+    families,
     is_critical_edge,
     is_delta_critical,
     oracle,
@@ -155,3 +157,32 @@ def test_certification_agrees_with_one_search_per_edge(monkeypatch):
     assert criticals == 100
     assert calls["_search"] == 128
     assert calls["_flip"] <= calls["copy"] <= calls["moves"]
+
+
+# SHA-256 over every (f, x, y, d) that ``_hole_moves`` yields while
+# ``is_delta_critical`` runs, in yield order: the edge f a move reaches,
+# the hole's ends x and y and the color d.  The move's ``low`` is left
+# out, since only it tells a move opened by a Kempe flip from one that
+# needs none.  Hosts: every fixture, subdivided K8 and K10, then the
+# slice above.  A change to which moves certification finds, or to the
+# order it finds them in, must fail here first.
+_CERTIFICATION_MOVES_SHA256 = "9e8dfa95ae9184ca4a2e992b96792ce905546d29bb8aa9b64ba658c80bd9e5e7"
+
+
+def test_certification_moves_are_pinned(monkeypatch):
+    h = hashlib.sha256()
+    moves = oracle._hole_moves
+
+    def hashed(c, certified):
+        for f, move in moves(c, certified):
+            h.update(repr((f, move[:3])).encode())
+            yield f, move
+
+    monkeypatch.setattr(oracle, "_hole_moves", hashed)
+    hosts = [g for _, g in families.basic_fixtures()]
+    hosts += [families.subdivided_complete(8), families.subdivided_complete(10)]
+    lines = _benchmark_corpora().oracle_corpus(chroma, 0)[::6]
+    hosts += [parse_graph6(line) for line in lines]
+    criticals = sum(is_delta_critical(g) for g in hosts)
+    assert criticals == 109
+    assert h.hexdigest() == _CERTIFICATION_MOVES_SHA256
