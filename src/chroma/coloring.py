@@ -58,8 +58,7 @@ class PartialEdgeColoring:
     """
 
     __slots__ = (
-        "_graph", "_k", "_full", "_hole", "_hole_at", "_colors", "_count", "_present",
-        "_slot",
+        "_graph", "_k", "_full", "_hole", "_hole_at", "_colors", "_present", "_slot",
     )
 
     def __init__(self, graph: Graph, k: int, hole: tuple[int, int] | None = None):
@@ -77,7 +76,6 @@ class PartialEdgeColoring:
         self._hole = hole
         self._hole_at = None if hole is None else graph.edge_index(*hole)
         self._colors = [0] * graph.m
-        self._count = 0
         self._present = [0] * graph.n
         self._slot = [[-1] * (k + 1) for _ in range(graph.n)]
 
@@ -136,7 +134,7 @@ class PartialEdgeColoring:
 
     @property
     def colored_count(self) -> int:
-        return self._count
+        return self._graph.m - self._colors.count(0)
 
     def uncolored_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -155,9 +153,10 @@ class PartialEdgeColoring:
     @property
     def is_complete(self) -> bool:
         """True when every edge except the designated hole is colored."""
+        uncolored = self._colors.count(0)
         if self._hole_at is None:
-            return self._count == self._graph.m
-        return self._count == self._graph.m - 1 and not self._colors[self._hole_at]
+            return uncolored == 0
+        return uncolored == 1 and not self._colors[self._hole_at]
 
     # -- construction and mutation (private) -----------------------------
 
@@ -169,7 +168,6 @@ class PartialEdgeColoring:
         other._hole = self._hole
         other._hole_at = self._hole_at
         other._colors = self._colors[:]
-        other._count = self._count
         other._present = self._present[:]
         other._slot = list(map(list.copy, self._slot))
         return other
@@ -207,7 +205,6 @@ class PartialEdgeColoring:
             present[v] |= bit
             slot[u][color] = v
             slot[v][color] = u
-            c._count += 1
         return c
 
     # -- integrity -------------------------------------------------------
@@ -222,11 +219,9 @@ class PartialEdgeColoring:
         problems = []
         seen = [0] * self._graph.n
         slot = [[-1] * (self._k + 1) for _ in range(self._graph.n)]
-        count = 0
         for (u, v), c in zip(self._graph.edges, self._colors):
             if c == 0:
                 continue
-            count += 1
             if not 1 <= c <= self._k:
                 problems.append(f"edge ({u}, {v}) has color {c} outside 1..{self._k}")
                 continue
@@ -244,8 +239,6 @@ class PartialEdgeColoring:
                 problems.append(f"present mask drift at vertex {v}")
             if slot[v] != self._slot[v]:
                 problems.append(f"slot table drift at vertex {v}")
-        if count != self._count:
-            problems.append(f"colored edge count drift: {self._count} kept, {count} found")
         if self._hole_at is not None and self._colors[self._hole_at]:
             problems.append(f"designated uncolored edge {self._hole} is colored")
         return problems

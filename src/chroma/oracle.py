@@ -5,34 +5,33 @@ colorings is the ground truth that the structure validators are measured
 against, so it must not borrow results from the theory it checks.  There
 is one search, and it draws no random numbers.  Edges are colored in
 decreasing endpoint-degree-sum order, ties by vertex label; without
-presets the colors of one maximum-degree vertex's edges are fixed up
-front to break color symmetry.  The one counting argument used is the
-one behind ``is_overfull``: each color class is a matching, so a search
-whose edges outnumber the matching capacity left after those pins fails
-before it branches.  The search returns a plain edge-to-color dict.  It
-searches g minus an edge on g itself, reading g's tables with that edge
-as a hole, so no smaller graph is built.  Certifying one edge critical
-keeps only whether such a coloring exists.  Certifying a whole graph
-reuses each coloring it finds: moving the hole from one edge to another,
-after one Kempe exchange where the move is blocked, as in Misra and
-Gries's constructive proof of Vizing's theorem, certifies the other edge
-with no search, so only edges that no move reaches are searched; on
-subdivided K8 and K10 that is the first edge alone.  The edge a move
-reaches is read off one walk of the Kempe chain, with nothing
-recolored, and the moved coloring is built on a copy only when
-certification continues from it.  A True rests on a coloring of every
-g minus e that a search found or that is one hole move, opened by at
-most one Kempe exchange, from a proper coloring that was built; the
-move's preconditions follow from the graph being class 2 and are
-checked whenever a move is built.
-A False rests on an exhaustive search, so nothing is taken from the
-theory.  Each caller that hands out a coloring builds exactly one, on
-the graph it holds.  The sampler is one seeded walk per graph that
-mixes Kempe swaps with the same hole move; it runs no search after its
+presets the colors of one maximum-degree vertex's edges are fixed up front
+to break color symmetry.  The one counting argument used is the one behind
+``is_overfull``: each color class is a matching, so a search whose edges
+outnumber the matching capacity left after those pins fails before it
+branches.  The search returns a plain edge-to-color dict.  It searches g
+minus an edge on g itself, reading g's tables with that edge as a hole, so
+no smaller graph is built.  Certifying one edge critical keeps only
+whether such a coloring exists.  Certifying a whole graph reuses each
+coloring it finds: one hole move, Vizing's fan step as Misra and Gries
+write it in their constructive proof of Vizing's theorem (one Kempe
+exchange at the hole, empty when the move is not blocked, then the hole
+moved to another edge), certifies the other edge with no search, so only
+edges that no move reaches are searched; on subdivided K8 and K10 that is
+the first edge alone.  The edge a move reaches is read off one walk of the
+Kempe chain, with nothing recolored, and the moved coloring is built on a
+copy only when certification continues from it.  A True rests on a
+coloring of every g minus e that a search found or that is one hole move
+from a proper coloring that was built; the move's preconditions follow
+from the graph being class 2 and are checked whenever a move is built.  A
+False rests on an exhaustive search, so nothing is taken from the theory.
+Each caller that hands out a coloring builds exactly one, on the graph it
+holds.  The sampler is one seeded walk per graph that mixes Kempe swaps
+with the same hole move, its chain empty; it runs no search after its
 start.  Both steps change the walk's private coloring in place, a Kempe
-swap by one pass over the slot table of the component it flips, and
-only copies of it are handed out.  Searches carry a wall-clock budget
-and report expiry as :class:`OracleTimeout`, never as a class-1/class-2
+swap by one pass over the slot table of the component it flips, and only
+copies of it are handed out.  Searches carry a wall-clock budget and
+report expiry as :class:`OracleTimeout`, never as a class-1/class-2
 answer.
 """
 
@@ -257,11 +256,9 @@ def is_critical_edge(
     On a class-2 host, ``e`` is certified by the plain deterministic
     search of g with ``e`` as its hole, which builds no coloring: only
     its answer is kept.  The hole gives the search the degrees, pin and
-    edge order of g minus ``e``; a search of g with g's own degrees
-    differs in edge order and symmetry pin, and on subdivided K10 such
-    searches took 51.2 s against about 3 s for one of these per edge
-    (2-vCPU VM, Python 3.11).  The sampler's walk starts from the
-    coloring that this search finds for ``g.edges[0]``.
+    edge order of g minus ``e``, which a search of g with g's own
+    degrees would not.  The sampler's walk starts from the coloring that
+    this search finds for ``g.edges[0]``.
     """
     e = _edge_of(g, e)
     if chi is None:
@@ -280,16 +277,16 @@ def _hole_moves(
     (x, y, d, low)``, which :func:`_moved` makes on a copy.  ``c`` is only
     read; nothing is copied or flipped here.
 
-    When d is missing at y, ``low`` is 0 and the hole moves along d at
-    once, as in Vizing's fan argument.  Otherwise one Kempe exchange
-    opens the move, as in Misra and Gries's fan step: ``low`` is the
-    least color missing at y, and the (low, d)-chain from y is flipped
-    first.  y ends that chain, since low is missing there, and x does
-    not, since on a class-2 host no color is missing at both ends of the
-    hole; so after the flip d is missing at y and still present at x.
-    The flip gives x the d-edge that was its low-edge when the chain
-    passes x, and leaves x's d-edge alone otherwise, so one read-only
-    walk of the chain (:meth:`PartialEdgeColoring._walk`) names f.  Both
+    Every move is Misra and Gries's fan step: ``low`` is the least color
+    missing at y, the (low, d)-chain from y is flipped, and the hole
+    moves along d.  When d is missing at y that chain is empty, d == low
+    included, and the flip changes nothing.  Otherwise y ends the chain,
+    since low is missing there, and x does not, since on a class-2 host
+    no color is missing at both ends of the hole; so after the flip d is
+    missing at y and still present at x.  The flip gives x the d-edge
+    that was its low-edge when the chain passes x, and leaves x's d-edge
+    alone otherwise, so one read-only walk of the chain
+    (:meth:`PartialEdgeColoring._walk`) names f.  Both
     orientations of e are tried, colors in increasing order; a move is
     skipped when x's d-edge before the flip is certified, or f is, and
     ``certified`` is read at each step.
@@ -300,9 +297,6 @@ def _hole_moves(
         for d in _bits(c.present_mask(x)):
             f = _normalize_edge(x, c.partner(x, d))
             if f in certified:
-                continue
-            if missing >> d & 1:
-                yield f, (x, y, d, 0)
                 continue
             if x in c._walk(y, d, low):
                 f = _normalize_edge(x, c.partner(x, low))
@@ -315,12 +309,11 @@ def _moved(
     c: PartialEdgeColoring, move: tuple[int, int, int, int]
 ) -> PartialEdgeColoring:
     """A copy of ``c`` with ``move`` from :func:`_hole_moves` made: the
-    (low, d)-chain from y flipped when ``low`` is not 0, then the hole
-    moved along d at x, which checks that the move is legal."""
+    (low, d)-chain from y flipped, then the hole moved along d at x,
+    which checks that the move is legal."""
     x, y, d, low = move
     moved = c.copy()
-    if low:
-        moved._flip(y, low, d)
+    moved._flip(y, low, d)
     moved._move_hole(x, d)
     return moved
 
@@ -333,21 +326,19 @@ def is_delta_critical(
 ) -> bool:
     """True when g is connected, class 2, and every edge is critical.
 
-    Each coloring found is reused: moves (:func:`_hole_moves`), each a
-    hole move opened by at most one Kempe exchange, run depth-first from
-    it and certify other edges with no search.  A move certifies its
-    edge when it is found; the stack keeps the move and its parent
-    coloring, and the moved coloring is built (:func:`_moved`) only when
-    popped, so no coloring is built for an edge that is already
-    certified, and none at all once every edge is.  Only an edge that
-    no move reaches gets the plain search of g minus that edge, in edge
+    Each coloring found is reused: hole moves (:func:`_hole_moves`) run
+    depth-first from it and certify other edges with no search.  A move
+    certifies its edge when it is found; the stack keeps the move and its
+    parent coloring, and the moved coloring is built (:func:`_moved`) only
+    when popped, so no coloring is built for an edge that is already
+    certified, and none at all once every edge is.  Only an edge that no
+    move reaches gets the plain search of g minus that edge, in edge
     order; the first search is always that of ``g.edges[0]``.  A move
-    reaches only edges whose g minus e has a coloring, so the first
-    search with none ends the loop at the same edge as one search per
-    edge would.  True rests on a coloring of each g minus e, found by a
-    search or one move from a proper coloring that was built, False on
-    an exhaustive search.  On the benchmark's seed-0 corpus, 600 critical graphs take
-    762 searches, against 3,612 with plain moves alone.
+    reaches only edges whose g minus e has a coloring, so the first search
+    with none ends the loop at the same edge as one search per edge would.
+    True rests on a coloring of each g minus e, found by a search or one
+    move from a proper coloring that was built, False on an exhaustive
+    search.
     """
     if g.m == 0 or not g.is_connected():
         return False
@@ -401,13 +392,11 @@ def sample_colorings(
 
     The walk's coloring is private and changed in place: a Kempe step is
     one :meth:`PartialEdgeColoring._flip` and a hole move one
-    :meth:`PartialEdgeColoring._move_hole`, the move that certification
-    makes.  A Kempe step draws ``random()``, the anchor, alpha and beta,
-    as ``randrange(n)``, ``choice`` and ``randrange(1, k)`` would, and
-    nothing after the anchor if no color is present there; a hole move
-    draws ``random()`` twice and its color, as ``choice`` would.  So the
-    samples depend on the seed through these draws alone, not on how a
-    step is carried out.
+    :meth:`PartialEdgeColoring._move_hole`, certification's move with an
+    empty chain.  A Kempe step draws ``random()``, then the anchor by
+    ``randrange(n)``, alpha by ``choice`` and beta by ``randrange(1, k)``,
+    and nothing after the anchor if no color is present there; a hole
+    move draws ``random()`` twice and its color by ``choice``.
 
     Deterministic for a given (seed, count), and each edge's samples are
     a prefix of its samples in a run with a larger count.  Every sample
@@ -435,24 +424,18 @@ def sample_colorings(
         )
     walk = PartialEdgeColoring.from_assignment(g, g.max_degree, found, hole=hole)
     rng = random.Random(seed)
-    # Random.randrange(n), choice(seq) and randrange(1, k) each draw
-    # exactly _randbelow(n), seq[_randbelow(len(seq))] and
-    # 1 + _randbelow(k - 1), so calling it directly keeps the stream.  It
-    # never gets 0, on which it would loop: an anchor with no color
-    # present draws nothing more, and at least one color is missing at
-    # either end of the hole.  bits keeps each mask's colors for the walk.
-    draw, below = rng.random, rng._randbelow
+    # bits keeps each mask's colors for the walk.
+    draw, randrange, choice = rng.random, rng.randrange, rng.choice
     flip, move = walk._flip, walk._move_hole
     present, full, n, k = walk._present, walk._full, g.n, walk.k
     bits = cache(_bits)
     cap = _WALK_CAP * count * g.m
     for step in range(1, cap + 1):
         if draw() < 0.5:
-            v = below(n)
+            v = randrange(n)
             if present[v] and k > 1:
-                colors = bits(present[v])
-                alpha = colors[below(len(colors))]
-                beta = 1 + below(k - 1)
+                alpha = choice(bits(present[v]))
+                beta = randrange(1, k)
                 if beta >= alpha:
                     beta += 1
                 flip(v, alpha, beta)
@@ -460,8 +443,7 @@ def sample_colorings(
             x, y = walk._hole
             if draw() < 0.5:
                 x, y = y, x
-            missing = bits(full & ~present[y])
-            move(x, missing[below(len(missing))])
+            move(x, choice(bits(full & ~present[y])))
         if step % _WALK_SWAPS == 0:
             kept = samples[walk._hole_at]
             if len(kept) < count:

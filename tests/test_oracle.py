@@ -228,23 +228,26 @@ def test_every_moved_coloring_is_proper(monkeypatch):
     nx = pytest.importorskip("networkx")
     moves = oracle._hole_moves
     made = []
-    flipped = 0
+    kinds = {"flipped": 0, "plain": 0, "plain at low": 0}
 
     def checked(c, certified):
         # Every move is built here, the ones that certification pops and
         # builds itself and the ones its early return leaves unbuilt, so
         # the edge each move names by walking the chain is checked
         # against the hole of the coloring the move makes.
-        nonlocal flipped
         for f, move in moves(c, certified):
             moved = oracle._moved(c, move)
             assert moved.hole == f and f not in certified, (c.graph.edges, c.hole)
             assert moved.check_proper() == [] and moved.is_complete, (c.graph.edges, f)
             assert c.check_proper() == [] and c.hole != f
-            # A plain move recolors the hole and uncolors f; a Kempe
-            # flip before it recolors at least one more edge.
+            # When d is missing at y the (low, d)-chain from y is empty, d
+            # == low or not, so the move recolors the hole and uncolors f
+            # alone; else the Kempe flip recolors y's d-edge as well.
+            x, y, d, low = move
+            plain = c.missing_mask(y) >> d & 1
             changed = sum(a != b for a, b in zip(c.edge_colors, moved.edge_colors))
-            flipped += changed > 2
+            assert (changed == 2) == plain, (c.graph.edges, c.hole, move)
+            kinds["flipped" if not plain else "plain at low" if d == low else "plain"] += 1
             made.append(f)
             yield f, move
 
@@ -259,7 +262,7 @@ def test_every_moved_coloring_is_proper(monkeypatch):
     cells = [(10, 4), (12, 4), (8, 5), (10, 5), (8, 6)] * 2
     hosts += [_subdivided_regular(rng, n, d) for n, d in cells]
     assert all([is_delta_critical(g) for g in hosts])
-    assert made and flipped
+    assert made and all(kinds.values()), kinds
 
 
 def _reference_kempe_step(
@@ -367,9 +370,10 @@ def test_kempe_step_skips_an_anchor_with_no_color_present(monkeypatch):
 
 
 def test_randbelow_draws_as_randrange_and_choice():
-    # sample_colorings calls Random._randbelow directly in place of
-    # randrange(n), choice(seq) and randrange(1, k); the walk needs
-    # n up to the vertex count and k up to 62 colors.
+    # sample_colorings draws with randrange(n), choice(seq) and
+    # randrange(1, k); each makes exactly one _randbelow draw, so the
+    # pinned sample stream rests on _randbelow alone.  The walk needs n up
+    # to the vertex count and k up to 62 colors.
     for n in range(1, 63):
         seq = tuple(range(10, 10 + n))
         public, direct = random.Random(n), random.Random(n)
