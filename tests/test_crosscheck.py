@@ -164,8 +164,9 @@ def test_certification_agrees_with_one_search_per_edge(monkeypatch):
 # the hole's ends x and y and the color d.  The move's ``low``, the least
 # color missing at y, is left out: it follows from the coloring, and the
 # pin then holds however a move that needs no Kempe flip is marked.
-# Hosts: every fixture, subdivided K8 and K10, then the slice above.  A change to which moves certification finds, or to the
-# order it finds them in, must fail here first.
+# Hosts: every fixture, subdivided K8 and K10, then the slice above.  A
+# change to which moves certification finds, or to the order it finds
+# them in, must fail here first.
 _CERTIFICATION_MOVES_SHA256 = "9e8dfa95ae9184ca4a2e992b96792ce905546d29bb8aa9b64ba658c80bd9e5e7"
 
 
