@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,7 @@ from chroma import (  # noqa: E402
     Graph,
     PartialEdgeColoring,
     chromatic_index,
+    complete_coloring,
     families,
     is_critical_edge,
     is_delta_critical,
@@ -187,3 +189,57 @@ def test_certification_moves_are_pinned(monkeypatch):
     criticals = sum(is_delta_critical(g) for g in hosts)
     assert criticals == 109
     assert h.hexdigest() == _CERTIFICATION_MOVES_SHA256
+
+
+# SHA-256 over every result of ``oracle._search``, in call order (None, or
+# the dict's items in insertion order), then the total node count.  The
+# nodes are counted by reading the clock at every node: ``_CHECK_INTERVAL``
+# is 1 and the oracle's clock is a counter that never runs out, read once
+# per search for the deadline and once per node.  Searches: the max degree
+# and, on class-2 hosts, one color more; the max degree with every edge as
+# the hole; and one ``complete_coloring`` with every third edge of the
+# chromatic-index coloring preset.  Hosts: every fixture, then the slice
+# above.  A change to any coloring the search finds, to the order it
+# assigns edges in, or to the nodes it visits must fail here first.
+_SEARCH_SHA256 = "069bf70bccc397a28567b57871b88a872eb9cef739842f6bcc0a0fcca8fc9358"
+
+
+def test_search_results_and_nodes_are_pinned(monkeypatch):
+    h = hashlib.sha256()
+    search = oracle._search
+    reads = 0
+
+    def hashed(*args):
+        found = search(*args)
+        h.update(repr(None if found is None else list(found.items())).encode())
+        return found
+
+    def clock():
+        nonlocal reads
+        reads += 1
+        return 0.0
+
+    monkeypatch.setattr(oracle, "_search", hashed)
+    monkeypatch.setattr(oracle, "_CHECK_INTERVAL", 1)
+    monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=clock))
+    hosts = [g for _, g in families.basic_fixtures()]
+    lines = _benchmark_corpora().oracle_corpus(chroma, 0)[::6]
+    hosts += [parse_graph6(line) for line in lines]
+    budget = oracle.DEFAULT_TIMEOUT_MS
+    searches = 0
+    for g in hosts:
+        delta = g.max_degree
+        found = oracle._search(g, delta, None, budget)
+        k = delta
+        if found is None:
+            k += 1
+            found = oracle._search(g, k, None, budget)
+        for e in g.edges:
+            oracle._search(g, delta, None, budget, e)
+        preset = {e: found[e] for e in g.edges[::3]}
+        c = PartialEdgeColoring.from_assignment(g, k, preset)
+        assert complete_coloring(c, timeout_ms=budget) is not None
+        searches += (k > delta) + g.m + 2
+    h.update(repr(reads - searches).encode())
+    assert searches == 3263
+    assert h.hexdigest() == _SEARCH_SHA256
