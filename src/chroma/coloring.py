@@ -50,6 +50,14 @@ class KempeChain:
     edges: tuple[tuple[int, int], ...]
 
 
+def _check_palette(k: int) -> None:
+    """ValueError unless ``1 .. k`` is a palette a coloring can hold."""
+    if k < 1:
+        raise ValueError(f"need at least one color, got k={k}")
+    if k > 62:
+        raise ValueError(f"palette limited to 62 colors, got k={k}")
+
+
 class PartialEdgeColoring:
     """A proper partial edge coloring with exact present/missing tracking.
 
@@ -62,10 +70,7 @@ class PartialEdgeColoring:
     )
 
     def __init__(self, graph: Graph, k: int, hole: tuple[int, int] | None = None):
-        if k < 1:
-            raise ValueError(f"need at least one color, got k={k}")
-        if k > 62:
-            raise ValueError(f"palette limited to 62 colors, got k={k}")
+        _check_palette(k)
         if hole is not None:
             hole = _normalize_edge(*hole)
             if not graph.has_edge(*hole):
@@ -288,10 +293,8 @@ class PartialEdgeColoring:
         """Vertices met from ``x`` along edges colored ``first``, ``second``,
         ``first``, ...; ends where the next color is missing or back at ``x``.
 
-        It only reads the slot table.  Besides :meth:`_component` and
-        :meth:`linked`, certification's hole moves use it to tell whether
-        a Kempe exchange would pass a vertex, and so which edge the move
-        reaches, without making the exchange."""
+        It only reads the slot table, for :meth:`_component` and
+        :meth:`linked`."""
         seq = [x]
         cur = x
         while True:

@@ -9,30 +9,33 @@ presets the colors of one maximum-degree vertex's edges are fixed up front
 to break color symmetry.  The one counting argument used is the one behind
 ``is_overfull``: each color class is a matching, so a search whose edges
 outnumber the matching capacity left after those pins fails before it
-branches.  The search returns a plain edge-to-color dict.  It searches g
-minus an edge on g itself, reading g's tables with that edge as a hole, so
-no smaller graph is built.  Certifying one edge critical keeps only
-whether such a coloring exists.  Certifying a whole graph reuses each
-coloring it finds: one hole move, Vizing's fan step as Misra and Gries
-write it in their constructive proof of Vizing's theorem (one Kempe
-exchange at the hole, empty when the move is not blocked, then the hole
-moved to another edge), certifies the other edge with no search, so only
-edges that no move reaches are searched; on subdivided K8 and K10 that is
-the first edge alone.  The edge a move reaches is read off one walk of the
-Kempe chain, with nothing recolored, and the moved coloring is built on a
-copy only when certification continues from it.  A True rests on a
-coloring of every g minus e that a search found or that is one hole move
-from a proper coloring that was built; the move's preconditions follow
-from the graph being class 2 and are checked whenever a move is built.  A
-False rests on an exhaustive search, so nothing is taken from the theory.
-Each caller that hands out a coloring builds exactly one, on the graph it
-holds.  The sampler is one seeded walk per graph that mixes Kempe swaps
-with the same hole move, its chain empty; it runs no search after its
-start.  Both steps change the walk's private coloring in place, a Kempe
-swap by one pass over the slot table of the component it flips, and only
-copies of it are handed out.  Searches carry a wall-clock budget and
-report expiry as :class:`OracleTimeout`, never as a class-1/class-2
-answer.
+branches.  The search backtracks on its own stack, one entry per edge, so
+a graph of any size is searched with no recursion limit.  It returns a
+plain edge-to-color dict.  It searches g minus an edge on g itself,
+reading g's tables with that edge as a hole, so no smaller graph is built.
+Certifying one edge critical keeps only whether such a coloring exists.
+Certifying a whole graph reuses each coloring it finds: one hole move,
+Vizing's fan step as Misra and Gries write it in their constructive proof
+of Vizing's theorem (one Kempe exchange at the hole, empty when the move
+is not blocked, then the hole moved to another edge), certifies the other
+edge with no search, so only edges that no move reaches are searched; on
+subdivided K8 and K10 that is the first edge alone.  The edge a move
+reaches is read off the slot table, with nothing recolored: the Kempe
+chain is walked only when it is not empty, and only up to the hole's far
+end.  The moved coloring is built on a copy only when certification
+continues from it and some edge at an end of its new hole is still
+uncertified.  A True rests on a coloring of every g minus e that a search
+found or that is one hole move from a proper coloring that was built; the
+move's preconditions follow from the graph being class 2 and are checked
+whenever a move is built.  A False rests on an exhaustive search, so
+nothing is taken from the theory.  Each caller that hands out a coloring
+builds exactly one, on the graph it holds.  The sampler is one seeded walk
+per graph that mixes Kempe swaps with the same hole move, its chain empty;
+it runs no search after its start.  Both steps change the walk's private
+coloring in place, a Kempe swap by one pass over the slot table of the
+component it flips, and only copies of it are handed out.  Searches carry
+a wall-clock budget and report expiry as :class:`OracleTimeout`, never as
+a class-1/class-2 answer.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from functools import cache, reduce
 from operator import xor
 from typing import Iterator
 
-from .coloring import PartialEdgeColoring
+from .coloring import PartialEdgeColoring, _check_palette
 from .graph import Graph, _bits, _normalize_edge
 
 __all__ = [
@@ -128,8 +131,13 @@ def _search(
     at a max-degree vertex; a preset that colors any edge makes the
     colors no longer interchangeable.  The search is deterministic: the
     same graph, hole, palette and presets always give the same coloring.
-    Raises OracleTimeout when ``timeout_ms`` (None for no budget) runs
-    out.
+
+    The backtracking keeps an explicit stack, the colors left to try and
+    the color chosen at each depth, one depth per edge to color, so its
+    depth is not bounded by Python's recursion limit.  Every node entered
+    is counted, the root included, and the clock is read at every
+    ``_CHECK_INTERVAL``-th node; OracleTimeout is raised when
+    ``timeout_ms`` (None for no budget) has run out there.
     """
     _check_budget(timeout_ms)
     deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
@@ -171,7 +179,6 @@ def _search(
                 return None
 
     todo = [e for e in g.edges if e not in assignment and e != hole]
-    todo.sort(key=lambda e: (-(degs[e[0]] + degs[e[1]]), e))
     # Each color class is a matching, so color c covers at most floor(f/2)
     # more edges, f being the vertices still free for c.  Summed over the
     # colors that is (free slots - colors with odd f) / 2, and the colors
@@ -179,39 +186,53 @@ def _search(
     free = sum(a.bit_count() for a in avail)
     if 2 * len(todo) > free - reduce(xor, avail, 0).bit_count():
         return None
+    todo.sort(key=lambda e: (-(degs[e[0]] + degs[e[1]]), e))
 
-    nodes = 0
+    # Depth i colors todo[i]: cands[i] holds the colors it has left to
+    # try and chosen[i] the one it holds now.  Each loop enters one node.
     last = len(todo)
-
-    def rec(i: int) -> bool:
-        nonlocal nodes
+    cands = [0] * last
+    chosen = [0] * last
+    nodes = i = 0
+    while True:
         nodes += 1
         if deadline is not None and nodes % _CHECK_INTERVAL == 0:
             if time.monotonic() > deadline:
                 raise OracleTimeout(f"search exceeded budget after {nodes} nodes")
         if i == last:
-            return True
+            break
         u, v = todo[i]
         cand = avail[u] & avail[v]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            avail[u] &= ~bit
-            avail[v] &= ~bit
-            if rec(i + 1):
-                assignment[(u, v)] = bit.bit_length() - 1
-                return True
+        while not cand:
+            i -= 1
+            if i < 0:
+                return None
+            u, v = todo[i]
+            bit = chosen[i]
             avail[u] |= bit
             avail[v] |= bit
-        return False
-
-    return assignment if rec(0) else None
+            cand = cands[i]
+        bit = cand & -cand
+        cands[i] = cand ^ bit
+        chosen[i] = bit
+        avail[u] &= ~bit
+        avail[v] &= ~bit
+        i += 1
+    # The dict lists the pins, then todo from its last edge back.
+    for i in range(last - 1, -1, -1):
+        assignment[todo[i]] = chosen[i].bit_length() - 1
+    return assignment
 
 
 def decide_colorable(
     g: Graph, k: int, *, timeout_ms: int | None = DEFAULT_TIMEOUT_MS
 ) -> PartialEdgeColoring | None:
-    """A proper k-edge-coloring of g, or None if impossible."""
+    """A proper k-edge-coloring of g, or None if impossible.
+
+    Raises ValueError, before any search, when k is outside 1..62, the
+    palettes a :class:`PartialEdgeColoring` holds.
+    """
+    _check_palette(k)
     found = _search(g, k, None, timeout_ms)
     return None if found is None else PartialEdgeColoring.from_assignment(g, k, found)
 
@@ -285,23 +306,38 @@ def _hole_moves(
     no color is missing at both ends of the hole; so after the flip d is
     missing at y and still present at x.  The flip gives x the d-edge
     that was its low-edge when the chain passes x, and leaves x's d-edge
-    alone otherwise, so one read-only walk of the chain
-    (:meth:`PartialEdgeColoring._walk`) names f.  Both
-    orientations of e are tried, colors in increasing order; a move is
-    skipped when x's d-edge before the flip is certified, or f is, and
-    ``certified`` is read at each step.
+    alone otherwise, so one read-only walk of the chain names f.  The
+    walk reads ``c``'s slot table from y and stops at x or at the chain's
+    other end; it is skipped when d is missing at y, since that chain is
+    empty.  Both orientations of e are tried, colors in increasing order;
+    a move is skipped when x's d-edge before the flip is certified, or f
+    is, and ``certified`` is read at each step.
     """
-    for x, y in (c.hole, c.hole[::-1]):
-        missing = c.missing_mask(y)
+    slot, present = c._slot, c._present
+    for x, y in (c._hole, c._hole[::-1]):
+        missing = c._full & ~present[y]
         low = (missing & -missing).bit_length() - 1
-        for d in _bits(c.present_mask(x)):
-            f = _normalize_edge(x, c.partner(x, d))
+        row = slot[x]
+        ds = present[x]
+        while ds:
+            bit = ds & -ds
+            ds ^= bit
+            d = bit.bit_length() - 1
+            w = row[d]
+            f = (x, w) if x < w else (w, x)
             if f in certified:
                 continue
-            if x in c._walk(y, d, low):
-                f = _normalize_edge(x, c.partner(x, low))
-                if f in certified:
-                    continue
+            if present[y] & bit:
+                # Walk the (low, d)-chain from y, which ends it, up to x.
+                cur, first, second = y, d, low
+                while cur >= 0 and cur != x:
+                    cur = slot[cur][first]
+                    first, second = second, first
+                if cur == x:
+                    w = row[low]
+                    f = (x, w) if x < w else (w, x)
+                    if f in certified:
+                        continue
             yield f, (x, y, d, low)
 
 
@@ -331,14 +367,17 @@ def is_delta_critical(
     certifies its edge when it is found; the stack keeps the move and its
     parent coloring, and the moved coloring is built (:func:`_moved`) only
     when popped, so no coloring is built for an edge that is already
-    certified, and none at all once every edge is.  Only an edge that no
-    move reaches gets the plain search of g minus that edge, in edge
-    order; the first search is always that of ``g.edges[0]``.  A move
-    reaches only edges whose g minus e has a coloring, so the first search
-    with none ends the loop at the same edge as one search per edge would.
-    True rests on a coloring of each g minus e, found by a search or one
-    move from a proper coloring that was built, False on an exhaustive
-    search.
+    certified, and none at all once every edge is.  A count of the
+    uncertified edges at each vertex drops a popped move unbuilt when its
+    new hole has none at either end: a move only reaches edges at the
+    ends of the hole, so that coloring would yield no move.  Only an edge
+    that no move reaches gets the plain search of g minus that edge, in
+    edge order; the first search is always that of ``g.edges[0]``.  A
+    move reaches only edges whose g minus e has a coloring, so the first
+    search with none ends the loop at the same edge as one search per
+    edge would.  True rests on a coloring of each g minus e, found by a
+    search or one move from a proper coloring that was built, False on an
+    exhaustive search.
     """
     if g.m == 0 or not g.is_connected():
         return False
@@ -348,6 +387,8 @@ def is_delta_critical(
         return False
     delta = g.max_degree
     certified: set[tuple[int, int]] = set()
+    # The uncertified edges at each vertex.
+    left = list(g.degrees)
     for e in g.edges:
         if e in certified:
             continue
@@ -355,17 +396,25 @@ def is_delta_critical(
         if found is None:
             return False
         certified.add(e)
+        left[e[0]] -= 1
+        left[e[1]] -= 1
         c = PartialEdgeColoring.from_assignment(g, delta, found, hole=e)
-        stack: list[tuple[PartialEdgeColoring, tuple[int, int, int, int]]] = []
+        stack: list[tuple[PartialEdgeColoring, tuple, tuple[int, int]]] = []
         while True:
             for f, move in _hole_moves(c, certified):
                 certified.add(f)
                 if len(certified) == g.m:
                     return True
-                stack.append((c, move))
-            if not stack:
+                left[f[0]] -= 1
+                left[f[1]] -= 1
+                stack.append((c, move, f))
+            while stack:
+                parent, move, (a, b) = stack.pop()
+                if left[a] or left[b]:
+                    c = _moved(parent, move)
+                    break
+            else:
                 break
-            c = _moved(*stack.pop())
     return True
 
 

@@ -123,7 +123,9 @@ def test_certification_agrees_with_one_search_per_edge(monkeypatch):
     # counted: its searches are pinned, since moves reach the same edges
     # as they did when each move was made on a copy as soon as it was
     # found; and a coloring is copied only for a move that certified an
-    # edge, with at most one Kempe flip each.
+    # edge, with at most one Kempe flip each.  The copies are pinned too:
+    # no coloring is built for a move whose new hole has every edge at
+    # both ends certified already.
     lines = _benchmark_corpora().oracle_corpus(chroma, 0)[::6]
     assert len(lines) == 120
     calls = {"_search": 0, "copy": 0, "_flip": 0, "moves": 0}
@@ -158,6 +160,7 @@ def test_certification_agrees_with_one_search_per_edge(monkeypatch):
         criticals += every
     assert criticals == 100
     assert calls["_search"] == 128
+    assert calls["copy"] == 1372
     assert calls["_flip"] <= calls["copy"] <= calls["moves"]
 
 

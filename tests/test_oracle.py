@@ -68,6 +68,33 @@ def test_decide_colorable():
     assert decide_colorable(families.complete(4), 2) is None
 
 
+def test_decide_colorable_checks_its_palette(monkeypatch):
+    # A palette no coloring can hold is refused before any search.
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(oracle, "_search", no_search)
+    path = families.path(3)
+    for k, message in ((-1, "at least one"), (0, "at least one"), (63, "62 colors")):
+        with pytest.raises(ValueError, match=message):
+            decide_colorable(path, k)
+
+
+def test_deep_graphs_are_decided():
+    # The search keeps one entry per edge on its own stack, so a graph with
+    # more edges than Python's recursion limit is still decided.  The path
+    # plus a triangle is refuted at two colors only after the whole path
+    # is colored.
+    path = families.path(1200)
+    res = chromatic_index(path)
+    assert (res.chi_prime, res.classification) == (2, "class1")
+    assert res.witness.check_proper() == [] and res.witness.is_complete
+    assert decide_colorable(path, 1) is None
+    g = Graph(1203, path.edges + ((1200, 1201), (1200, 1202), (1201, 1202)))
+    assert decide_colorable(g, 2) is None
+    assert chromatic_index(g).chi_prime == 3
+
+
 def test_the_empty_graph_has_the_empty_coloring():
     # With no vertex there is no max-degree vertex to pin at.
     for c in (
