@@ -399,7 +399,9 @@ def is_delta_critical(
         left[e[0]] -= 1
         left[e[1]] -= 1
         c = PartialEdgeColoring.from_assignment(g, delta, found, hole=e)
-        stack: list[tuple[PartialEdgeColoring, tuple, tuple[int, int]]] = []
+        stack: list[
+            tuple[PartialEdgeColoring, tuple[int, int, int, int], tuple[int, int]]
+        ] = []
         while True:
             for f, move in _hole_moves(c, certified):
                 certified.add(f)
