@@ -3,7 +3,6 @@ structure validators for critical graphs, and an overfull census driver."""
 
 from .graph import (
     Graph,
-    degree_stats,
     parse_graph6,
     to_graph6,
     parse_edge_list,
@@ -12,7 +11,6 @@ from .graph import (
 from .coloring import (
     PartialEdgeColoring,
     KempeChain,
-    empty_partial,
 )
 from .oracle import (
     ChiResult,
@@ -20,7 +18,6 @@ from .oracle import (
     UncolorableError,
     chromatic_index,
     decide_colorable,
-    complete_coloring,
     is_critical_edge,
     is_delta_critical,
     sample_colorings,
@@ -62,13 +59,10 @@ from .overfull import (
     UNDECIDED,
     OverfullVerdict,
     ImplicationVerdict,
-    SubgraphWitness,
     is_overfull,
     degree_condition,
-    eps_degree_condition,
     verify_overfull_implication,
     parity_check,
-    find_overfull_subgraph,
 )
 from .census import (
     CensusConfig,

@@ -4,9 +4,10 @@ Single-graph commands accept graph6 or a plain edge list and pick the
 format by content (edge lists have whitespace inside their payload
 lines, graph6 never does).  ``-`` reads standard input.  Exit codes: 0
 on success, 1 when a census or lemma sweep surfaced a violation, dead
-end, or counterexample, 2 for usage or input errors, and 3 when a sweep
-found none of those but some graph's record carries an error (such as
-an exhausted oracle budget), so its checks are incomplete.
+end, or counterexample, 2 for usage or input errors, and 3 when the
+oracle budget ran out: a single-graph command's answer is then unknown,
+and a sweep that found none of the above has some graph's record
+carrying an error, so its checks are incomplete.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except oracle.OracleTimeout as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

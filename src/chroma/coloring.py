@@ -3,9 +3,9 @@
 A :class:`PartialEdgeColoring` assigns colors from ``1 .. k`` to a subset
 of the edges of a graph; ``0`` is the uncolored sentinel.  At most one
 edge is *designated* uncolored (the hole) in the states the validators
-consume, but states with many unassigned edges arise too: the shell from
-``empty_partial``, the input that ``oracle.complete_coloring`` extends,
-and partial ``from_assignment`` dicts.  The class tolerates both.
+consume, but states with many unassigned edges arise too: the
+all-uncolored shell that the constructor builds, and partial
+``from_assignment`` dicts.  The class tolerates both.
 
 Per-vertex bookkeeping is exact and incremental: ``present_mask(v)`` is a
 bitmask of colors on edges at ``v``, ``missing_mask(v)`` its complement
@@ -30,7 +30,6 @@ from .graph import Graph, _bits, _normalize_edge, _outside
 __all__ = [
     "PartialEdgeColoring",
     "KempeChain",
-    "empty_partial",
 ]
 
 
@@ -140,11 +139,6 @@ class PartialEdgeColoring:
     @property
     def colored_count(self) -> int:
         return self._graph.m - self._colors.count(0)
-
-    def uncolored_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            e for e, c in zip(self._graph.edges, self._colors) if c == 0
-        )
 
     def edge_items(self) -> Iterable[tuple[tuple[int, int], int]]:
         """Pairs of (edge, color) in edge order, 0 meaning unassigned."""
@@ -474,18 +468,3 @@ class PartialEdgeColoring:
             f"PartialEdgeColoring(k={self._k}, colored={self.colored_count}/"
             f"{self._graph.m}, hole={self._hole})"
         )
-
-
-def empty_partial(
-    graph: Graph, e: tuple[int, int] | None, k: int
-) -> PartialEdgeColoring:
-    """The all-uncolored shell with designated hole ``e`` and palette ``1..k``.
-
-    Requires ``k >= max_degree``; with fewer colors no proper completion
-    can exist and every consumer of these states assumes otherwise.
-    """
-    if k < graph.max_degree:
-        raise ValueError(
-            f"palette k={k} below max degree {graph.max_degree}"
-        )
-    return PartialEdgeColoring(graph, k, e)

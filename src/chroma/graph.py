@@ -13,7 +13,6 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "Graph",
-    "degree_stats",
     "parse_graph6",
     "to_graph6",
     "parse_edge_list",
@@ -144,17 +143,6 @@ class Graph:
             frontier |= new
         return seen == full
 
-    def without_edge(self, u: int, v: int) -> "Graph":
-        """A copy of this graph with edge ``uv`` removed; ValueError if absent.
-
-        The oracle never builds one: it searches this graph with ``uv`` as
-        a hole, and tests compare that search with one of this copy.
-        """
-        e = _normalize_edge(u, v)
-        if e not in self._edge_index:
-            raise ValueError(f"edge {e} not in graph")
-        return Graph(self._n, (f for f in self._edges if f != e))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -165,18 +153,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"
-
-
-def degree_stats(g: Graph) -> tuple[int, int, tuple[int, ...]]:
-    """Return ``(max_degree, min_degree, degree_sequence)``.
-
-    The degree sequence is indexed by vertex.  Raises ValueError for the
-    empty graph, where neither extreme is defined.
-    """
-    if g.n == 0:
-        raise ValueError("degree stats undefined for the empty graph")
-    degs = g.degrees
-    return (max(degs), min(degs), degs)
 
 
 def _strip_header(line: str) -> str:

@@ -4,9 +4,9 @@ Everything here is brute force on purpose: a backtracking search over edge
 colorings is the ground truth that the structure validators are measured
 against, so it must not borrow results from the theory it checks.  There
 is one search, and it draws no random numbers.  Edges are colored in
-decreasing endpoint-degree-sum order, ties by vertex label; without
-presets the colors of one maximum-degree vertex's edges are fixed up front
-to break color symmetry.  The one counting argument used is the one behind
+decreasing endpoint-degree-sum order, ties by vertex label; the colors of
+one maximum-degree vertex's edges are fixed up front to break color
+symmetry.  The one counting argument used is the one behind
 ``is_overfull``: each color class is a matching, so a search whose edges
 outnumber the matching capacity left after those pins fails before it
 branches.  The search backtracks on its own stack, one entry per edge, so
@@ -56,7 +56,6 @@ __all__ = [
     "UncolorableError",
     "chromatic_index",
     "decide_colorable",
-    "complete_coloring",
     "is_critical_edge",
     "is_delta_critical",
     "sample_colorings",
@@ -109,7 +108,6 @@ def _check_budget(timeout_ms: int | None) -> None:
 def _search(
     g: Graph,
     k: int,
-    preset: dict[tuple[int, int], int] | None,
     timeout_ms: int | None,
     hole: tuple[int, int] | None = None,
 ) -> dict[tuple[int, int], int] | None:
@@ -123,14 +121,13 @@ def _search(
     ``hole``, an edge of g in its normalized key (None for no hole), is
     searched around while g's own tables are read: its two ends count
     one degree less, the symmetry pin skips it and the edge order leaves
-    it out.  Degrees, pin and edge order are exactly those of
-    ``g.without_edge(*hole)``, so the coloring found is too.
+    it out.  Degrees, pin and edge order are exactly those of g rebuilt
+    without the hole, so the coloring found is too.
 
-    ``preset`` pins edge colors before the search.  Without one, or with
-    an empty one, the search breaks color symmetry by pinning the colors
-    at a max-degree vertex; a preset that colors any edge makes the
-    colors no longer interchangeable.  The search is deterministic: the
-    same graph, hole, palette and presets always give the same coloring.
+    The search breaks color symmetry by pinning colors 1, 2, ... on the
+    edges at a max-degree vertex, in neighbor order.  It is
+    deterministic: the same graph, hole and palette always give the same
+    coloring.
 
     The backtracking keeps an explicit stack, the colors left to try and
     the color chosen at each depth, one depth per edge to color, so its
@@ -149,34 +146,21 @@ def _search(
             degs[v] -= 1
     avail = [full] * g.n
     assignment: dict[tuple[int, int], int] = {}
-
-    def pin(u: int, v: int, color: int) -> bool:
-        bit = 1 << color
-        if not (avail[u] & bit and avail[v] & bit):
-            return False
-        avail[u] &= ~bit
-        avail[v] &= ~bit
-        assignment[(u, v)] = color
-        return True
-
-    if preset:
-        for (u, v), color in sorted(preset.items()):
-            if not 1 <= color <= k:
-                raise ValueError(f"preset color {color} outside 1..{k}")
-            if not pin(*_normalize_edge(u, v), color):
-                return None
-    elif g.n:
+    if g.n:
         # Any proper coloring can be renamed so one max-degree vertex sees
         # colors 1..d in neighbor order, so pinning them loses nothing.
         vstar = max(range(g.n), key=lambda v: (degs[v], -v))
+        if degs[vstar] > k:
+            return None
         color = 0
         for w in g.neighbors(vstar):
             e = _normalize_edge(vstar, w)
-            if e == hole:
-                continue
-            color += 1
-            if color > k or not pin(*e, color):
-                return None
+            if e != hole:
+                color += 1
+                bit = 1 << color
+                avail[vstar] &= ~bit
+                avail[w] &= ~bit
+                assignment[e] = color
 
     todo = [e for e in g.edges if e not in assignment and e != hole]
     # Each color class is a matching, so color c covers at most floor(f/2)
@@ -233,7 +217,7 @@ def decide_colorable(
     palettes a :class:`PartialEdgeColoring` holds.
     """
     _check_palette(k)
-    found = _search(g, k, None, timeout_ms)
+    found = _search(g, k, timeout_ms)
     return None if found is None else PartialEdgeColoring.from_assignment(g, k, found)
 
 
@@ -286,7 +270,7 @@ def is_critical_edge(
         chi = chromatic_index(g, timeout_ms=timeout_ms)
     if chi.classification != "class2":
         return False
-    return _search(g, g.max_degree, None, timeout_ms, e) is not None
+    return _search(g, g.max_degree, timeout_ms, e) is not None
 
 
 def _hole_moves(
@@ -392,7 +376,7 @@ def is_delta_critical(
     for e in g.edges:
         if e in certified:
             continue
-        found = _search(g, delta, None, timeout_ms, e)
+        found = _search(g, delta, timeout_ms, e)
         if found is None:
             return False
         certified.add(e)
@@ -468,7 +452,7 @@ def sample_colorings(
     if not short:
         return []
     hole = g.edges[0]
-    found = _search(g, g.max_degree, None, timeout_ms, hole)
+    found = _search(g, g.max_degree, timeout_ms, hole)
     if found is None:
         raise UncolorableError(
             f"no max-degree coloring of the graph minus {hole} exists"
@@ -506,29 +490,3 @@ def sample_colorings(
     raise OracleTimeout(
         f"walk took {cap} steps, and edge {e} has {len(kept)} of {count} samples"
     )
-
-
-def complete_coloring(
-    c: PartialEdgeColoring,
-    *,
-    timeout_ms: int | None = DEFAULT_TIMEOUT_MS,
-) -> PartialEdgeColoring | None:
-    """Extend a partial coloring to all edges except its hole, or None.
-
-    The assigned edges act as hard constraints and the rest are searched
-    in the plain deterministic order, so the same input always gives the
-    same completion.  A coloring with a hole is searched as the graph
-    minus that edge, and the completion is built on ``c.graph`` with the
-    same hole, so ``complete_coloring(empty_partial(g, e, k))`` is one
-    k-coloring of g with hole ``e``; with no edge colored it keeps the
-    symmetry pin, so at the max degree it is the certificate of ``e``.
-    Useful for steering a coloring toward a wanted missing-color pattern;
-    for other completions, apply Kempe swaps (``kempe_chain`` and
-    ``swap``) to the result.
-    """
-    g = c.graph
-    preset = {e: color for e, color in c.edge_items() if color and e != c.hole}
-    found = _search(g, c.k, preset, timeout_ms, c.hole)
-    if found is None:
-        return None
-    return PartialEdgeColoring.from_assignment(g, c.k, found, hole=c.hole)

@@ -1,11 +1,11 @@
-"""Overfullness arithmetic, parity accounting, and overfull-subgraph search.
+"""Overfullness arithmetic, the paper's implication, and parity accounting.
 
 A graph with more edges than ``max_degree * floor(n/2)`` cannot split its
 edges into ``max_degree`` matchings, so it is class 2 outright.  This
 module computes that excess, evaluates the degree condition under which
-an edge-critical graph is forced to be overfull, checks the parity
-constraint every full coloring imposes on missing-color counts, and
-searches small hosts for overfull subgraphs of the same maximum degree.
+an edge-critical graph is forced to be overfull, checks that implication
+on one graph, and checks the parity constraint every full coloring
+imposes on missing-color counts.
 
 Every threshold comparison here runs in exact rational arithmetic.  One
 fixture of interest sits exactly on the degree-condition boundary
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import oracle
 from .coloring import PartialEdgeColoring
@@ -29,20 +28,15 @@ __all__ = [
     "UNDECIDED",
     "OverfullVerdict",
     "ImplicationVerdict",
-    "SubgraphWitness",
     "is_overfull",
     "degree_condition",
-    "eps_degree_condition",
     "verify_overfull_implication",
     "parity_check",
-    "find_overfull_subgraph",
 ]
 
 HOLDS = "holds"
 COUNTEREXAMPLE = "counterexample"
 UNDECIDED = "undecided"
-
-_SUBSET_BUDGET = 24
 
 
 @dataclass(frozen=True)
@@ -76,19 +70,6 @@ class ImplicationVerdict:
         return self.status == HOLDS
 
 
-@dataclass(frozen=True)
-class SubgraphWitness:
-    """An induced subgraph certifying an overfull obstruction.
-
-    ``vertices`` are host labels in increasing order; ``graph`` is the
-    induced subgraph relabeled to 0..len(vertices)-1 in that order.
-    """
-
-    vertices: tuple[int, ...]
-    graph: Graph
-    excess: int
-
-
 def degree_condition(g: Graph) -> tuple[bool, Fraction]:
     """Exact evaluation of max_degree - 7*min_degree/4 >= (3n - 17)/4.
 
@@ -115,27 +96,6 @@ def is_overfull(g: Graph) -> OverfullVerdict:
     excess = g.m - g.max_degree * (g.n // 2)
     hypothesis, margin = degree_condition(g)
     return OverfullVerdict(excess >= 1, excess, hypothesis, margin)
-
-
-def eps_degree_condition(g: Graph, eps: Fraction | int | str) -> bool:
-    """Parameterized degree condition: min_degree <= eps*n and
-    max_degree >= (3n - 17 + 7*eps*n)/4, in exact rationals.
-
-    ``eps`` must lie strictly between 0 and 1/7; inside that window the
-    two inequalities together imply :func:`degree_condition`.  Pass a
-    Fraction or a string like "1/10".  A float raises TypeError: it would
-    smuggle binary rounding (``Fraction(0.1)`` > 1/10) into an exact test.
-    """
-    if isinstance(eps, float):
-        raise TypeError(f"eps must be a Fraction, int or string, not float {eps!r}")
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 7):
-        raise ValueError(f"eps must lie strictly between 0 and 1/7, got {eps}")
-    n = g.n
-    return (
-        Fraction(g.min_degree) <= eps * n
-        and Fraction(g.max_degree) >= (Fraction(3 * n - 17) + 7 * eps * n) / 4
-    )
 
 
 def verify_overfull_implication(
@@ -203,47 +163,3 @@ def parity_check(c: PartialEdgeColoring) -> Verdict:
                 f"which is not congruent to n={n} mod 2",
             )
     return Verdict(OK)
-
-
-def find_overfull_subgraph(g: Graph) -> SubgraphWitness | None:
-    """First induced subgraph that is overfull at the host's max degree.
-
-    Induced subgraphs suffice: on a fixed vertex set, dropping edges can
-    only lower the count past the excess threshold, and the induced
-    degrees already top out at the host maximum.  Only odd orders can
-    qualify, since an even-order graph has at most max_degree * n/2
-    edges, and the subset must retain a maximum-degree vertex with all
-    its neighbors.  Subsets are scanned largest first, lexicographically
-    within a size, and the first hit wins.  Raises ValueError above
-    24 vertices, where the subset space stops being enumerable.
-    """
-    n = g.n
-    if n > _SUBSET_BUDGET:
-        raise ValueError(f"subset search budgeted for n <= {_SUBSET_BUDGET}, got {n}")
-    delta = g.max_degree
-    top_mask = 0
-    for v in range(n):
-        if g.degree(v) == delta:
-            top_mask |= 1 << v
-    size = n if n % 2 else n - 1
-    while size >= 3:
-        for subset in combinations(range(n), size):
-            smask = 0
-            for v in subset:
-                smask |= 1 << v
-            if not smask & top_mask:
-                continue
-            inner = [(g.adjacency_mask(v) & smask).bit_count() for v in subset]
-            if max(inner) != delta:
-                continue
-            excess = sum(inner) // 2 - delta * (size // 2)
-            if excess >= 1:
-                relabel = {v: i for i, v in enumerate(subset)}
-                edges = [
-                    (relabel[u], relabel[v])
-                    for u, v in g.edges
-                    if u in relabel and v in relabel
-                ]
-                return SubgraphWitness(subset, Graph(size, edges), excess)
-        size -= 2
-    return None

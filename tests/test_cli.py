@@ -15,6 +15,7 @@ from chroma import (
     COUNTEREXAMPLE,
     DEAD_END,
     CanonicalizeResult,
+    Graph,
     ImplicationVerdict,
     Verdict,
     VIOLATION,
@@ -278,6 +279,19 @@ def test_error_exits(tmp_path, capsys):
     assert "expected one graph, found 2" in capsys.readouterr().err
     assert main(["census", "--samples", "0", two]) == 2
     assert "at least one sample" in capsys.readouterr().err
+
+
+def test_single_graph_commands_exit_3_when_the_budget_expires(tmp_path, capsys):
+    # K11 minus a 5-edge matching has 50 = 10 * 5 edges, so the matching
+    # count cannot refute it at 10 colors and a 1 ms search runs out.
+    matching = {(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)}
+    g = Graph(11, [e for e in families.complete(11).edges if e not in matching])
+    path = _write(tmp_path, "k11.g6", to_graph6(g) + "\n")
+    for command in ("chi", "color", "critical"):
+        assert main([command, path, "--timeout-ms", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeded budget" in captured.err
 
 
 def test_unknown_command_usage_error(capsys):

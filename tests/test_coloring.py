@@ -10,7 +10,6 @@ import pytest
 from chroma import (
     Graph,
     PartialEdgeColoring,
-    empty_partial,
     families,
     oracle,
 )
@@ -37,9 +36,15 @@ def test_accessors():
     assert c.missing_mask(1) == 0
     assert c.partner(1, 2) == 2
     assert c.partner(0, 2) is None
-    assert c.uncolored_edges() == ()
     assert dict(c.edge_items()) == _P4_COLORS
     assert c.check_proper() == []
+    # The constructor builds the all-uncolored shell; its hole is an edge
+    # in either orientation, kept by its key.
+    for hole in ((0, 1), (1, 0)):
+        shell = PartialEdgeColoring(_P4, 2, hole)
+        assert shell.hole == (0, 1) and shell.color(1, 0) == 0
+        assert shell.colored_count == 0 and not shell.is_complete
+        assert shell.edge_colors == (0, 0, 0)
 
 
 def test_construction_rejects_improper_input():
@@ -90,15 +95,6 @@ def test_partner_rejects_a_color_outside_the_palette(color):
     # past the row.
     with pytest.raises(ValueError, match=f"^color {color} outside palette 1..2$"):
         _p4().partner(1, color)
-
-
-def test_empty_partial_needs_enough_colors():
-    with pytest.raises(ValueError, match="below max degree"):
-        empty_partial(families.complete(4), (0, 1), 2)
-    c = empty_partial(_P4, (0, 1), 2)
-    assert c.colored_count == 0
-    assert c.hole == (0, 1)
-    assert not c.is_complete
 
 
 def test_kempe_chain_path():
@@ -163,12 +159,14 @@ def _fixture_colorings():
     a vertex, Δ + 1 colors for K5, whose edge-deleted subgraphs stay class 2.
 
     The K5 colorings are three seeded walks of four random whole-chain
-    swaps each from the plain completion, three distinct ones per edge."""
+    swaps each from the plain search of K5 minus the edge, three distinct
+    ones per edge."""
     for g in (families.cycle(5), families.petersen_minus_vertex()):
         yield from oracle.sample_colorings(g, 3, 0)
     k5 = families.complete(5)
     for e in k5.edges:
-        plain = oracle.complete_coloring(empty_partial(k5, e, 5))
+        found = oracle._search(k5, 5, None, e)
+        plain = PartialEdgeColoring.from_assignment(k5, 5, found, hole=e)
         walks = []
         for seed in range(3):
             rng = random.Random(seed)

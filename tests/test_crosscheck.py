@@ -229,11 +229,11 @@ def test_search_results_and_nodes_are_pinned(monkeypatch):
     searches = 0
     for g in hosts:
         delta = g.max_degree
-        class2 = oracle._search(g, delta, None, budget) is None
+        class2 = oracle._search(g, delta, budget) is None
         if class2:
-            assert oracle._search(g, delta + 1, None, budget) is not None
+            assert oracle._search(g, delta + 1, budget) is not None
         for e in g.edges:
-            oracle._search(g, delta, None, budget, e)
+            oracle._search(g, delta, budget, e)
         searches += class2 + g.m + 1
     h.update(repr(reads - searches).encode())
     assert searches == 3130

@@ -21,7 +21,6 @@ from chroma import (
     check_degree_dichotomy,
     check_fork_exclusion,
     check_val,
-    empty_partial,
     families,
     find_forklike,
     grow_kierstead,
@@ -93,7 +92,7 @@ def test_multifan_structural_errors():
     )
     with pytest.raises(StructuralError, match="no designated uncolored edge"):
         grow_multifan(no_hole)
-    sparse = empty_partial(families.cycle(5), (0, 1), 2)
+    sparse = PartialEdgeColoring(families.cycle(5), 2, (0, 1))
     with pytest.raises(StructuralError, match="complete apart from its hole"):
         grow_multifan(sparse)
 
@@ -313,7 +312,7 @@ def test_check_degree_dichotomy_shared_color_violation():
     g = _dichotomy_host()
     # An all-uncolored shell misses every color everywhere, so any
     # max-degree vertex shares well over one color with the hole ends.
-    shell = empty_partial(g, (0, 7), 6)
+    shell = PartialEdgeColoring(g, 6, (0, 7))
     verdict = check_degree_dichotomy(g, 7, colorings={(0, 7): [shell]})
     assert verdict.status == VIOLATION
     assert "shares two missing colors" in verdict.detail

@@ -15,9 +15,7 @@ from chroma import (
     PartialEdgeColoring,
     UncolorableError,
     chromatic_index,
-    complete_coloring,
     decide_colorable,
-    empty_partial,
     families,
     is_critical_edge,
     is_delta_critical,
@@ -28,6 +26,11 @@ from chroma import (
 )
 from chroma.census import _graph_seed
 from chroma.graph import _bits
+
+
+def _without_edge(g: Graph, e: tuple[int, int]) -> Graph:
+    """g rebuilt without its edge e: the reference for a search with hole e."""
+    return Graph(g.n, (f for f in g.edges if f != e))
 
 # Known chromatic indices, hand-checkable or classical.
 _GROUND_TRUTH = [
@@ -97,12 +100,9 @@ def test_deep_graphs_are_decided():
 
 def test_the_empty_graph_has_the_empty_coloring():
     # With no vertex there is no max-degree vertex to pin at.
-    for c in (
-        decide_colorable(Graph(0), 1),
-        complete_coloring(empty_partial(Graph(0), None, 1)),
-    ):
-        assert c is not None and c.is_complete and c.hole is None
-        assert c.graph == Graph(0) and list(c.edge_items()) == []
+    c = decide_colorable(Graph(0), 1)
+    assert c is not None and c.is_complete and c.hole is None
+    assert c.graph == Graph(0) and list(c.edge_items()) == []
 
 
 def test_timeout_budget():
@@ -110,7 +110,7 @@ def test_timeout_budget():
     # count cannot refute it at 10 colors and the search runs out of time.
     g = families.complete(11)
     for e in ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)):
-        g = g.without_edge(*e)
+        g = _without_edge(g, e)
     with pytest.raises(OracleTimeout, match="exceeded budget"):
         decide_colorable(g, 10, timeout_ms=1)
     # K11 itself is overfull (55 > 50 edges): refuted before any branching.
@@ -120,12 +120,9 @@ def test_timeout_budget():
         decide_colorable(k3, 3, timeout_ms=0)
     with pytest.raises(ValueError, match="timeout must be positive"):
         sample_colorings(k3, 1, seed=0, timeout_ms=0)
-    with pytest.raises(ValueError, match="timeout must be positive"):
-        complete_coloring(empty_partial(k3, None, 3), timeout_ms=0)
     # None means no budget at all.
     assert decide_colorable(k3, 3, timeout_ms=None) is not None
     assert len(sample_colorings(k3, 2, seed=0, timeout_ms=None)) == 6
-    assert complete_coloring(empty_partial(k3, None, 3), timeout_ms=None).is_complete
 
 
 def test_is_critical_edge():
@@ -221,8 +218,8 @@ def test_a_hole_searches_the_graph_minus_that_edge():
     for g in hosts:
         delta = g.max_degree
         for e in g.edges:
-            colors = oracle._search(g, delta, None, None, e)
-            assert colors == oracle._search(g.without_edge(*e), delta, None, None), (
+            colors = oracle._search(g, delta, None, e)
+            assert colors == oracle._search(_without_edge(g, e), delta, None), (
                 to_graph6(g), e
             )
             found += colors is not None
@@ -237,9 +234,9 @@ def test_moves_cut_the_certificate_searches(monkeypatch):
     search = oracle._search
     searched = []
 
-    def counted(h, k, preset, timeout_ms, hole=None):
+    def counted(h, k, timeout_ms, hole=None):
         searched.append(hole)
-        return search(h, k, preset, timeout_ms, hole)
+        return search(h, k, timeout_ms, hole)
 
     for m in (8, 10):
         g = families.subdivided_complete(m)
@@ -318,7 +315,7 @@ def _reference_walk(g: Graph, count: int, seed: int):
     """``sample_colorings`` on a critical g, step by step with
     ``_reference_kempe_step`` and ``random.Random``'s public draws; also
     returns the generator and the number of anchors with no color."""
-    found = oracle._search(g, g.max_degree, None, None, g.edges[0])
+    found = oracle._search(g, g.max_degree, None, g.edges[0])
     walk = PartialEdgeColoring.from_assignment(g, g.max_degree, found, hole=g.edges[0])
     rng = random.Random(seed)
     samples: list[list[PartialEdgeColoring]] = [[] for _ in g.edges]
@@ -458,44 +455,6 @@ def test_sample_colorings_edge_cases():
         sample_colorings(Graph(4, [(0, 1), (2, 3)]), 1, seed=1)
 
 
-def test_complete_coloring_respects_presets():
-    g = families.cycle(5)
-    partial = PartialEdgeColoring.from_assignment(
-        g, 3, {(1, 2): 1}, hole=(0, 1)
-    )
-    done = complete_coloring(partial)
-    assert done is not None
-    assert done.color(1, 2) == 1
-    assert done.is_complete
-    assert done.check_proper() == []
-
-
-def test_complete_coloring_leaves_the_hole_uncolored():
-    holey = complete_coloring(empty_partial(families.cycle(5), (0, 1), 2))
-    assert holey is not None
-    assert holey.hole == (0, 1)
-    assert holey.color(0, 1) == 0
-    assert holey.colored_count == 4
-    assert holey.is_complete and holey.check_proper() == []
-    # The hole is an edge in either orientation, and must be in the graph.
-    for hole in ((0, 2), (2, 0)):
-        c = complete_coloring(empty_partial(families.complete(3), hole, 2))
-        assert c is not None and c.hole == (0, 2)
-        assert c.color(0, 2) == 0
-    with pytest.raises(ValueError, match="not in graph"):
-        complete_coloring(empty_partial(families.cycle(5), (0, 2), 2))
-
-
-def test_complete_coloring_infeasible_preset():
-    g = families.cycle(4)
-    # Opposite edges forced onto different colors leave the other two
-    # edges no consistent pair at k=2.
-    partial = PartialEdgeColoring.from_assignment(
-        g, 2, {(0, 1): 1, (2, 3): 2}
-    )
-    assert complete_coloring(partial) is None
-
-
 _WALK_HOSTS = (
     families.cycle(5),
     families.cycle(7),
@@ -558,7 +517,7 @@ def test_walk_reaches_both_kempe_classes_of_an_edge():
     # them, so only moving the hole away and back can reach the other one.
     g = parse_graph6("D]w")
     e = (2, 4)
-    k23 = g.without_edge(*e)
+    k23 = _without_edge(g, e)
     assert sorted(k23.degrees) == [2, 2, 2, 3, 3] and k23.m == 6
     # A coloring is proper when no vertex sees a color twice, that is when
     # its 6 edges give 12 distinct (vertex, color) pairs.
@@ -633,13 +592,10 @@ def test_sample_stream_is_pinned():
 
 # SHA-256 over every edge e of every fixture: the coloring of G − e that
 # certifies e, from which, for the first edge, the sampler's walk
-# starts; "-" where G − e
-# needs another color.  It is hashed from a search of the rebuilt graph
-# g.without_edge(*e); the oracle searches g with e as a hole instead and
-# must agree.  The completion of empty_partial(g, e, max degree) searches
-# G − e with an empty preset, so it keeps the symmetry pin and must give
-# the same colors.  A change to the search, to its hole or to how a
-# coloring is built from a search must fail here first.
+# starts; "-" where G − e needs another color.  It is hashed from a
+# search of g rebuilt without e; the oracle searches g with e as a hole
+# instead and must give the same colors.  A change to the search, to its
+# hole or to how a coloring is built from a search must fail here first.
 _FIXTURE_CERTIFICATES_SHA256 = "c0b4e03ae26e1eb15acc5f00aef7f2922a12aaa3873bd2c15b62e4d9abb820d4"
 
 
@@ -648,13 +604,13 @@ def test_fixture_certificates_are_pinned():
     for _, g in families.basic_fixtures():
         chi = chromatic_index(g)
         for e in g.edges:
-            completed = complete_coloring(empty_partial(g, e, g.max_degree))
-            certificate = decide_colorable(g.without_edge(*e), g.max_degree)
+            found = oracle._search(g, g.max_degree, None, e)
+            certificate = decide_colorable(_without_edge(g, e), g.max_degree)
             h.update(b"-" if certificate is None else bytes(_colors(certificate)))
             if certificate is None:
-                assert completed is None
+                assert found is None
             else:
-                kept = tuple(color for f, color in completed.edge_items() if f != e)
+                kept = tuple(found[f] for f in g.edges if f != e)
                 assert kept == _colors(certificate)
             critical = chi.classification == "class2" and certificate is not None
             assert is_critical_edge(g, e, chi=chi) == critical

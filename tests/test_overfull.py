@@ -19,9 +19,7 @@ from chroma import (
     VIOLATION,
     chromatic_index,
     degree_condition,
-    eps_degree_condition,
     families,
-    find_overfull_subgraph,
     is_overfull,
     parity_check,
     to_graph6,
@@ -66,36 +64,16 @@ def test_degree_condition_exact_margins():
     assert ok is False
     assert margin == Fraction(-3)
     assert isinstance(margin, Fraction)
-
-
-def _hub_and_path(n: int = 30) -> Graph:
-    # Vertex 0 adjacent to everyone, the rest a path: min degree 2,
-    # max degree n - 1.
-    edges = [(0, v) for v in range(1, n)]
-    edges += [(v, v + 1) for v in range(1, n - 1)]
-    return Graph(n, edges)
-
-
-def test_eps_degree_condition():
-    g = _hub_and_path()
-    assert eps_degree_condition(g, Fraction(1, 10)) is True
-    assert eps_degree_condition(g, "1/10") is True
-    # Small eps makes the minimum-degree requirement fail.
-    assert eps_degree_condition(g, Fraction(1, 20)) is False
-    assert eps_degree_condition(families.subdivided_complete(4), Fraction(1, 10)) is False
-    for bad in (Fraction(0), Fraction(1, 7), Fraction(2, 5), 0):
-        with pytest.raises(ValueError, match="strictly between"):
-            eps_degree_condition(g, bad)
-    # A star K1,5 with a 4-edge tail: n = 10, max degree 5, min degree 1
-    # sits exactly on both bounds at eps = 1/10.  Fraction(0.1) is slightly
-    # larger, which would push the max-degree bound just above 5.
+    # A hub joined to a path on the other 29 vertices: n = 30, max degree
+    # 29, min degree 2.
+    hub = [(0, v) for v in range(1, 30)] + [(v, v + 1) for v in range(1, 29)]
+    assert degree_condition(Graph(30, hub)) == (True, Fraction(29, 4))
+    # A star K1,5 with a 4-edge tail: n = 10, max degree 5 and min degree
+    # 1 sit exactly on the boundary, 5 - 7/4 == 13/4.
     boundary = Graph(
         10, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (6, 7), (7, 8), (8, 9)]
     )
-    assert eps_degree_condition(boundary, "1/10") is True
-    for inexact in (0.1, 0.125):
-        with pytest.raises(TypeError, match="not float"):
-            eps_degree_condition(boundary, inexact)
+    assert degree_condition(boundary) == (True, Fraction(0))
 
 
 def test_verify_implication_verdicts():
@@ -188,47 +166,6 @@ def test_parity_check_trips_on_corrupted_bookkeeping():
     verdict = parity_check(c)
     assert verdict.status == VIOLATION
     assert "color 1" in verdict.detail
-
-
-def test_find_overfull_subgraph():
-    k3 = families.complete(3)
-    witness = find_overfull_subgraph(k3)
-    assert witness is not None
-    assert witness.vertices == (0, 1, 2)
-    assert witness.excess == 1
-    assert witness.graph == k3
-
-    c5 = families.cycle(5)
-    witness = find_overfull_subgraph(c5)
-    assert witness is not None
-    assert witness.vertices == (0, 1, 2, 3, 4)
-    assert witness.graph == c5
-
-    assert find_overfull_subgraph(families.complete(4)) is None
-    assert find_overfull_subgraph(families.petersen()) is None
-    assert find_overfull_subgraph(families.petersen_minus_vertex()) is None
-
-    with pytest.raises(ValueError, match="n <= 24"):
-        find_overfull_subgraph(Graph(25))
-
-
-def test_find_overfull_subgraph_proper_subset():
-    # A triangle beside an isolated vertex: the whole graph has even
-    # order, the triangle inside it is the overfull part.
-    g = Graph(4, [(0, 1), (0, 2), (1, 2)])
-    witness = find_overfull_subgraph(g)
-    assert witness is not None
-    assert witness.vertices == (0, 1, 2)
-    assert witness.graph == families.complete(3)
-    assert witness.excess == 1
-
-
-def test_find_overfull_subgraph_requires_max_degree_inside():
-    # The triangle is overfull for its own degrees, but the host's
-    # maximum degree sits on the star center outside it, so no induced
-    # subgraph qualifies at the host threshold.
-    g = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6)])
-    assert find_overfull_subgraph(g) is None
 
 
 def test_overfull_implies_class_two_and_odd_order():

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import chroma
+
 _ROOT = Path(__file__).resolve().parents[1]
 _BLOCKS = re.findall(
     r"^```python\n(.*?)^```$", (_ROOT / "README.md").read_text(), re.M | re.S
@@ -30,3 +32,12 @@ def test_readme_block_runs(code):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_calls_resolve():
+    # Every call the prose names, as `name(`, is a public function of the
+    # package or a method of its graph or coloring.
+    calls = set(re.findall(r"`(\w+)\(", (_ROOT / "README.md").read_text()))
+    owners = (chroma, chroma.Graph, chroma.PartialEdgeColoring)
+    assert calls
+    assert [name for name in sorted(calls) if not any(hasattr(o, name) for o in owners)] == []
