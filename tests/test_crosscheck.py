@@ -199,8 +199,9 @@ def test_certification_moves_are_pinned(monkeypatch):
 # is 1 and the oracle's clock is a counter that never runs out, read once
 # per search for the deadline and once per node.  Searches: the max degree
 # and, on class-2 hosts, one color more; and the max degree with every
-# edge as the hole.  Hosts: every fixture, then the slice above.  A change to any coloring the search finds, to the order it
-# assigns edges in, or to the nodes it visits must fail here first.
+# edge as the hole.  Hosts: every fixture, then the slice above.  A change
+# to any coloring the search finds, to the order it assigns edges in, or
+# to the nodes it visits must fail here first.
 _SEARCH_SHA256 = "742cda30014dfecabb5006b76fe942200fef9c361f5b3c63510d115a6a3efff5"
 
 

@@ -32,6 +32,7 @@ def _without_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """g rebuilt without its edge e: the reference for a search with hole e."""
     return Graph(g.n, (f for f in g.edges if f != e))
 
+
 # Known chromatic indices, hand-checkable or classical.
 _GROUND_TRUTH = [
     (families.complete(2), 1, "class1"),
